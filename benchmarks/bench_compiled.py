@@ -1,30 +1,21 @@
-"""Compiled lane core: kernel march vs the interpreted batched loop.
+"""Batched refresh: prepared stacked refresh vs the per-lane refresh oracle.
 
-The batched backend's remaining per-step cost is pure Python dispatch:
-one interpreter iteration (refresh checks, record checks, stats
-bookkeeping) per shared step, regardless of how wide the lane stack is.
-The compiled lane core (:mod:`repro.core.kernels`) replaces runs of held
-steps with one kernel call that advances all ``(B, n)`` lanes ``K``
-steps at a time, ``K = min(steps_until_refresh, steps_until_record,
-steps_until_earliest_t_end)``.
+Every relinearisation of the batched march evaluates all lanes' block
+models.  The prepared batched refresh (the default) scatters the
+lane-constant Jacobian fields into a workspace once per march and
+rebuilds only the state-dependent fields per refresh, one stacked call
+per block group; the per-lane oracle (``BatchedSolver(...,
+_perlane_refresh=True)``) dispatches every block of every lane
+generically.  The two are bit-identical.
 
 This benchmark marches B=256 supercapacitor-charging lanes (ambient
-frequency swept across the tuning range) 0.5 s at a fixed 1e-4 step
-under the amortised-relinearisation profile and asserts:
+frequency swept across the tuning range) 0.5 s at a fixed 1e-4 step on a
+refresh-bound profile (``relinearise_interval=4``) and asserts:
 
-* **speedup**: the compiled march is at least 3x faster wall-clock than
-  the interpreted batched loop on the same lane stack;
-* **fixed-step byte-identity**: every trace of every lane is bit-equal
-  between ``compiled="off"`` and the compiled run;
-* **refresh-bound speedup**: on a refresh-bound profile
-  (``relinearise_interval=4``) the batched refresh path
-  (``refresh="auto"``, stacked block linearisation + workspace scatter)
-  is at least 2x faster than the same compiled march with per-lane
-  refresh (``refresh="perlane"``), byte-identically;
-* **adaptive bursts**: on an adaptive shared-step leg (B=64, hold 8)
-  the compiled loop with kernel-resident step negotiation is at least
-  1.5x faster than the interpreted batched loop, bitwise on the numpy
-  backend and within the documented 10 % score tolerance elsewhere.
+* **refresh-bound speedup**: the prepared batched refresh is at least 2x
+  faster than the per-lane refresh on the same march kernel;
+* **byte-identity**: every trace of every lane is bit-equal between the
+  two refresh paths.
 
 A record-path micro-bench additionally times the buffered row-recorder
 mechanism (geometrically grown ``(cap, B, n)`` arrays materialised into
@@ -36,10 +27,9 @@ Run directly (writes ``BENCH_compiled.json``)::
     PYTHONPATH=src python benchmarks/bench_compiled.py            # full
     PYTHONPATH=src python benchmarks/bench_compiled.py --quick    # CI smoke
 
-Quick mode shrinks the lane stacks and still asserts identity, the
-adaptive tolerance, and a noise-tolerant refresh-bound floor
-(:data:`MIN_REFRESH_SPEEDUP_QUICK`); the full-size wall-clock gates
-stay out of CI (runners are too noisy for the tight ratios).
+Quick mode shrinks the lane stack and still asserts identity and a
+noise-tolerant refresh-bound floor (:data:`MIN_REFRESH_SPEEDUP_QUICK`);
+the full-size floor stays out of CI (runners are too noisy for it).
 """
 
 import argparse
@@ -62,26 +52,16 @@ from repro.io.report import format_table
 
 JSON_PATH = Path("BENCH_compiled.json")
 
-#: required wall-clock advantage of the compiled march over the
-#: interpreted batched loop (full mode only)
-MIN_SPEEDUP = 3.0
 #: required refresh-bound advantage of the batched refresh path over
 #: per-lane refresh on the same compiled march (full mode)
 MIN_REFRESH_SPEEDUP = 2.0
 #: noise-tolerant refresh-bound floor asserted even in quick/CI mode
 MIN_REFRESH_SPEEDUP_QUICK = 1.3
-#: required advantage of compiled adaptive bursts over the interpreted
-#: adaptive loop (full mode only)
-MIN_ADAPTIVE_SPEEDUP = 1.5
-#: documented adaptive shared-step score tolerance of the batched backend
-SCORE_TOLERANCE_REL = 0.10
 
-#: full-mode workload: wide enough that Python dispatch dominates the
-#: interpreted loop, long enough holds that the kernel gets real bursts
+#: full-mode lane stack
 FULL_B = 256
 FULL_DURATION_S = 0.5
 FIXED_STEP = 1e-4
-RELINEARISE_INTERVAL = 128
 RECORD_INTERVAL = 2e-2
 
 #: refresh-bound profile: holds so short that linearise→eliminate
@@ -90,14 +70,8 @@ REFRESH_BOUND_INTERVAL = 4
 REFRESH_QUICK_B = 64
 REFRESH_QUICK_DURATION_S = 0.1
 
+#: lane count of the record-path micro-bench in quick mode
 QUICK_B = 16
-QUICK_DURATION_S = 0.05
-
-#: adaptive-leg lane stack and hold window (multi-step kernel bursts
-#: between refreshes, step negotiation inside the kernel contract)
-ADAPTIVE_B = 64
-ADAPTIVE_DURATION_S = 0.1
-ADAPTIVE_RELINEARISE_INTERVAL = 8
 
 
 def build_lanes(b, duration_s):
@@ -112,7 +86,7 @@ def build_lanes(b, duration_s):
     ]
 
 
-def run_batch(scenarios, settings_list, compiled, refresh="auto"):
+def run_batch(scenarios, settings_list, compiled, perlane=False):
     structure = prepare_assembly(scenarios[0])
     harvesters = [
         s.build_harvester(assembly_structure=structure) for s in scenarios
@@ -121,7 +95,7 @@ def run_batch(scenarios, settings_list, compiled, refresh="auto"):
         [h.assembler for h in harvesters],
         settings=settings_list,
         compiled=compiled,
-        refresh=refresh,
+        _perlane_refresh=perlane,
     )
     for i, harvester in enumerate(harvesters):
         harvester._wire(solver.lane_wiring(i))
@@ -137,37 +111,11 @@ def assert_byte_identical(reference, result):
         assert sorted(ref.traces) == sorted(got.traces)
         for name in ref.traces:
             assert np.array_equal(ref[name].times, got[name].times), (
-                f"lane {i} {name}: compiled trace times differ"
+                f"lane {i} {name}: trace times differ"
             )
             assert np.array_equal(ref[name].values, got[name].values), (
-                f"lane {i} {name}: compiled trace values differ"
+                f"lane {i} {name}: trace values differ"
             )
-
-
-def fixed_step_comparison(b, duration_s, backend):
-    """Interpreted vs compiled on one fixed-step lane stack."""
-    scenarios = build_lanes(b, duration_s)
-    settings_list = [
-        replace(
-            scenario_solver_settings(s),
-            fixed_step=FIXED_STEP,
-            relinearise_interval=RELINEARISE_INTERVAL,
-            record_interval=RECORD_INTERVAL,
-        )
-        for s in scenarios
-    ]
-
-    t0 = time.perf_counter()
-    interpreted = run_batch(scenarios, settings_list, "off")
-    t_off = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    compiled = run_batch(scenarios, settings_list, backend)
-    t_compiled = time.perf_counter() - t0
-
-    assert not interpreted.failures
-    assert_byte_identical(interpreted, compiled)
-    return t_off, t_compiled
 
 
 def refresh_bound_comparison(b, duration_s, backend):
@@ -189,11 +137,11 @@ def refresh_bound_comparison(b, duration_s, backend):
     ]
 
     t0 = time.perf_counter()
-    perlane = run_batch(scenarios, settings_list, backend, refresh="perlane")
+    perlane = run_batch(scenarios, settings_list, backend, perlane=True)
     t_perlane = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    batched = run_batch(scenarios, settings_list, backend, refresh="auto")
+    batched = run_batch(scenarios, settings_list, backend)
     t_batched = time.perf_counter() - t0
 
     assert not perlane.failures
@@ -203,59 +151,14 @@ def refresh_bound_comparison(b, duration_s, backend):
     return t_perlane, t_batched
 
 
-def adaptive_burst_comparison(b, duration_s, backend):
-    """Interpreted vs compiled adaptive shared-step bursts.
-
-    Returns ``(t_interpreted, t_compiled, max_rel_deviation)``.  On the
-    numpy backend the compiled adaptive run must be bitwise identical to
-    the interpreted loop (negotiation and march replay the interpreted
-    expressions); other backends stay inside the documented tolerance.
-    """
-    scenarios = build_lanes(b, duration_s)
-    settings_list = [
-        replace(
-            scenario_solver_settings(s),
-            relinearise_interval=ADAPTIVE_RELINEARISE_INTERVAL,
-            record_interval=RECORD_INTERVAL,
-        )
-        for s in scenarios
-    ]
-
-    t0 = time.perf_counter()
-    interpreted = run_batch(scenarios, settings_list, "off", refresh="perlane")
-    t_interp = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    compiled = run_batch(scenarios, settings_list, backend, refresh="auto")
-    t_compiled = time.perf_counter() - t0
-
-    assert not interpreted.failures and not compiled.failures
-    if backend == "numpy":
-        assert_byte_identical(interpreted, compiled)
-    deviations = [
-        abs(
-            got["storage_voltage"].final() - ref["storage_voltage"].final()
-        )
-        / abs(ref["storage_voltage"].final())
-        for ref, got in zip(interpreted.results, compiled.results)
-    ]
-    max_dev = max(deviations)
-    assert max_dev <= SCORE_TOLERANCE_REL, (
-        f"adaptive compiled deviation {max_dev:.3e} exceeds the documented "
-        f"tolerance {SCORE_TOLERANCE_REL}"
-    )
-    return t_interp, t_compiled, max_dev
-
-
 def record_path_microbench(b=256, events=400, n_signals=6):
     """Buffered row-recorder mechanism vs naive per-sample appends.
 
     Returns ``(t_naive_s, t_buffered_s)`` for recording ``events``
     samples of ``n_signals`` quantities across ``b`` lanes: the naive
-    path appends into per-lane :class:`Trace` objects sample by sample
-    (the interpreted loop's mechanism), the buffered path fills
-    geometrically grown rows and materialises traces once per lane (the
-    compiled loop's mechanism).
+    path appends into per-lane :class:`Trace` objects sample by sample,
+    the buffered path fills geometrically grown rows and materialises
+    traces once per lane (the batched march's mechanism).
     """
     times = np.arange(events) * 1e-3
     values = np.sin(times[:, None, None] + np.arange(b * n_signals).reshape(b, n_signals))
@@ -310,10 +213,6 @@ def record_path_microbench(b=256, events=400, n_signals=6):
 def run(quick=False):
     backend = resolve_compiled("auto")
     b = QUICK_B if quick else FULL_B
-    duration_s = QUICK_DURATION_S if quick else FULL_DURATION_S
-
-    t_off, t_compiled = fixed_step_comparison(b, duration_s, backend)
-    speedup = t_off / t_compiled
 
     refresh_b = REFRESH_QUICK_B if quick else FULL_B
     refresh_duration = REFRESH_QUICK_DURATION_S if quick else FULL_DURATION_S
@@ -328,32 +227,18 @@ def run(quick=False):
         f"(refresh-bound profile, hold {REFRESH_BOUND_INTERVAL})"
     )
 
-    adaptive_b = min(ADAPTIVE_B, 4 * b)
-    adaptive_duration = QUICK_DURATION_S if quick else ADAPTIVE_DURATION_S
-    t_adaptive_interp, t_adaptive_compiled, max_dev = adaptive_burst_comparison(
-        adaptive_b, adaptive_duration, backend
-    )
-    adaptive_speedup = t_adaptive_interp / t_adaptive_compiled
-
     t_naive, t_buffered = record_path_microbench(b=b)
     record_ratio = t_naive / t_buffered
 
     rows = [
-        ["interpreted batched loop", f"{t_off:.2f}", "1.00", "reference"],
         [
-            f"compiled lane core ({backend})",
-            f"{t_compiled:.2f}",
-            f"{speedup:.2f}",
-            "byte-identical",
-        ],
-        [
-            f"  + per-lane refresh, hold {REFRESH_BOUND_INTERVAL}",
+            f"per-lane refresh, hold {REFRESH_BOUND_INTERVAL}",
             f"{t_perlane:.2f}",
             "1.00",
             "reference",
         ],
         [
-            f"  + batched refresh, hold {REFRESH_BOUND_INTERVAL}",
+            f"batched refresh, hold {REFRESH_BOUND_INTERVAL}",
             f"{t_batched:.2f}",
             f"{refresh_speedup:.2f}",
             "byte-identical",
@@ -363,18 +248,11 @@ def run(quick=False):
         ["path", "wall [s]", "speedup", "fixed-step waveforms"],
         rows,
         title=(
-            f"compiled lane core — B={b} lanes, {duration_s:g} s at fixed "
-            f"step {FIXED_STEP:g}, hold {RELINEARISE_INTERVAL} "
-            f"(refresh-bound legs: B={refresh_b}, {refresh_duration:g} s)"
+            f"batched refresh ({backend} kernel) — B={refresh_b} lanes, "
+            f"{refresh_duration:g} s at fixed step {FIXED_STEP:g}"
         ),
     )
     report += (
-        f"\nadaptive bursts (B={adaptive_b}, hold "
-        f"{ADAPTIVE_RELINEARISE_INTERVAL}): interpreted "
-        f"{t_adaptive_interp:.2f} s vs compiled {t_adaptive_compiled:.2f} s "
-        f"({adaptive_speedup:.2f}x), max relative score deviation "
-        f"{max_dev:.2e} (tolerance {SCORE_TOLERANCE_REL}"
-        f"{', bitwise on numpy' if backend == 'numpy' else ''})"
         f"\nrecord path micro-bench: per-sample appends {t_naive:.3f} s vs "
         f"buffered rows {t_buffered:.3f} s ({record_ratio:.1f}x)"
     )
@@ -385,15 +263,8 @@ def run(quick=False):
                 "benchmark": "compiled_lane_core",
                 "quick": quick,
                 "backend": backend,
-                "n_lanes": b,
-                "duration_s_per_lane": duration_s,
                 "fixed_step": FIXED_STEP,
-                "relinearise_interval": RELINEARISE_INTERVAL,
                 "record_interval": RECORD_INTERVAL,
-                "t_interpreted_s": t_off,
-                "t_compiled_s": t_compiled,
-                "speedup": speedup,
-                "fixed_step_byte_identical": True,
                 "refresh_bound": {
                     "n_lanes": refresh_b,
                     "duration_s_per_lane": refresh_duration,
@@ -404,19 +275,8 @@ def run(quick=False):
                     "byte_identical": True,
                     "asserted_floor": refresh_floor,
                 },
-                "adaptive": {
-                    "n_lanes": adaptive_b,
-                    "duration_s_per_lane": adaptive_duration,
-                    "relinearise_interval": ADAPTIVE_RELINEARISE_INTERVAL,
-                    "t_interpreted_s": t_adaptive_interp,
-                    "t_compiled_s": t_adaptive_compiled,
-                    "speedup": adaptive_speedup,
-                    "bitwise": backend == "numpy",
-                },
-                "adaptive_n_lanes": adaptive_b,
-                "adaptive_max_rel_score_deviation": max_dev,
-                "score_tolerance_rel": SCORE_TOLERANCE_REL,
                 "record_microbench": {
+                    "n_lanes": b,
                     "t_per_sample_appends_s": t_naive,
                     "t_buffered_rows_s": t_buffered,
                     "ratio": record_ratio,
@@ -426,18 +286,7 @@ def run(quick=False):
         )
         + "\n"
     )
-
-    if not quick:
-        assert speedup >= MIN_SPEEDUP, (
-            f"compiled speedup {speedup:.2f}x below the required "
-            f"{MIN_SPEEDUP}x over the interpreted batched loop"
-        )
-        assert adaptive_speedup >= MIN_ADAPTIVE_SPEEDUP, (
-            f"compiled adaptive speedup {adaptive_speedup:.2f}x below the "
-            f"required {MIN_ADAPTIVE_SPEEDUP}x over the interpreted "
-            "adaptive loop"
-        )
-    return report, speedup, refresh_speedup, adaptive_speedup, max_dev
+    return report, refresh_speedup
 
 
 def main() -> None:
@@ -446,22 +295,14 @@ def main() -> None:
         "--quick",
         action="store_true",
         help=(
-            "small CI smoke stack: assert identity, the adaptive "
-            "tolerance, and the relaxed refresh-bound floor; skip the "
-            "full-size speed-up assertions"
+            "small CI smoke stack: assert identity and the relaxed "
+            "refresh-bound floor"
         ),
     )
     args = parser.parse_args()
-    report, speedup, refresh_speedup, adaptive_speedup, max_dev = run(
-        quick=args.quick
-    )
+    report, refresh_speedup = run(quick=args.quick)
     print(report)
-    print(
-        f"\ncompiled speedup {speedup:.2f}x, batched refresh "
-        f"{refresh_speedup:.2f}x (refresh-bound), adaptive bursts "
-        f"{adaptive_speedup:.2f}x, adaptive max relative score deviation "
-        f"{max_dev:.2e}"
-    )
+    print(f"\nbatched refresh {refresh_speedup:.2f}x (refresh-bound)")
     print(f"written: {JSON_PATH}")
 
 

@@ -4,13 +4,13 @@ Between relinearisations the batched solver marches every lane through the
 *same* affine model ``x' = A_r x + b_r`` with a held step size.  Those held
 steps are pure data-parallel arithmetic — no Python-level decisions — so
 they can be advanced ``K`` steps per call by a compiled kernel, where ``K``
-is bounded by the next *event* the interpreted loop must handle::
+is bounded by the next *event* the march loop must handle::
 
     K = min(steps_until_refresh, steps_until_record, steps_until_t_end)
 
 Rather than precomputing ``K`` (fragile under accumulated floating-point
-time), each kernel re-evaluates the interpreted loop's own exit conditions
-at the top of every internal iteration and returns as soon as one trips:
+time), each kernel re-evaluates the march loop's own exit conditions at the
+top of every internal iteration and returns as soon as one trips:
 
 * the hold budget ``max_steps`` (``relinearise_interval`` minus the steps
   already taken on this model) is exhausted,
@@ -18,13 +18,13 @@ at the top of every internal iteration and returns as soon as one trips:
 * any lane's trace recorder becomes due (``t - last_record >= threshold``),
 * any lane trips the state-drift refresh check
   (``max|x - x_ref| > rtol * (max|x_ref| + 1e-300)``),
-* any lane trips the divergence guard after a step (the kernel stops so
-  the caller can retire the flagged lanes exactly as the interpreted loop
-  would).
+* any lane trips the divergence guard after a step (checked after
+  *every* step, so the caller retires the flagged lanes at the exact step
+  time a single-step march would).
 
 A kernel call that makes zero steps is a no-op by contract; the caller's
-outer loop always performs at least one interpreted step per iteration, so
-progress is guaranteed.
+outer loop then performs one single step itself, so progress is
+guaranteed.
 
 Backends
 --------
@@ -35,14 +35,16 @@ Backends
     Optional: a ``jax.jit``-fused step update inside a host-side control
     loop (requires ``jax`` with 64-bit mode).
 ``numpy``
-    Always available.  Replicates the interpreted loop's array expressions
+    Always available.  Replicates the single-step expressions
+    (``BatchedReducedSystem.derivative`` + ``AdamsBashforth.step_batch``)
     operation for operation, so its fixed-step waveforms are byte-identical
-    to the interpreted path — it is both the universal fallback and the
+    to the scalar solver — it is both the universal fallback and the
     reference the native backends are validated against.
 
 ``resolve_compiled`` maps a user-facing mode (``"off" | "auto" | "numba" |
-"jax" | "numpy"``) to a backend name; ``"auto"`` prefers numba, then jax,
-then the numpy fallback, and never fails.
+"jax" | "numpy"``) to a backend name; ``"off"`` is an alias for the numpy
+kernel, and ``"auto"`` prefers numba, then jax, then numpy, and never
+fails.
 """
 
 from __future__ import annotations
@@ -60,19 +62,22 @@ __all__ = [
     "MarchResult",
     "available_backends",
     "batched_state_norms",
+    "divergence_mask",
     "get_eliminate_kernel",
     "get_march_kernel",
     "resolve_compiled",
 ]
 
-#: user-facing values of the ``compiled`` knob.  ``"numpy"`` pins the
-#: always-available fallback explicitly (useful for tests and baselines);
-#: ``"auto"`` picks the best importable backend and never fails.
+#: user-facing values of the ``compiled`` knob.  ``"off"`` (the default)
+#: and ``"numpy"`` both run the always-available numpy kernel; ``"auto"``
+#: picks the best importable backend and never fails.
 COMPILED_MODES = ("off", "auto", "numba", "jax", "numpy")
 
 #: must match ``repro.core.batch._END_EPS`` — the end-time slack of the
-#: interpreted loop's "lane finished" check
+#: march loop's "lane finished" check
 _END_EPS = 1e-15
+
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def batched_state_norms(x: np.ndarray) -> np.ndarray:
@@ -97,12 +102,31 @@ def batched_state_norms(x: np.ndarray) -> np.ndarray:
     return norms
 
 
+def divergence_mask(x: np.ndarray, divergence_limit: np.ndarray) -> np.ndarray:
+    """Per-lane divergence guard: a non-finite state or a norm above the limit.
+
+    A plain norm at or below a finite limit proves a lane healthy (it is
+    finite, so no component is non-finite and nothing overflowed), so the
+    overflow-safe norm runs only when some lane fails that cheap check.
+    """
+    with np.errstate(over="ignore"):
+        plain = np.sqrt(np.sum(x * x, axis=1))
+    if bool(np.all(plain <= np.minimum(divergence_limit, _FLOAT_MAX))):
+        return np.zeros(x.shape[0], dtype=bool)
+    norms = batched_state_norms(x)
+    return (
+        ~np.all(np.isfinite(x), axis=1)
+        | ~np.isfinite(norms)
+        | (norms > divergence_limit)
+    )
+
+
 @dataclass
 class MarchResult:
     """Outcome of one compiled burst of held-model steps.
 
     ``steps`` may be zero (an exit condition tripped before the first
-    internal step); the caller's interpreted loop then handles the event
+    internal step); the caller's march loop then handles the event
     itself.  ``x_prev`` is the state the last step departed from — the
     caller derives the lagged terminal variables ``y`` from it.
     ``history`` is the refreshed Adams-Bashforth window (oldest first),
@@ -146,19 +170,18 @@ def available_backends() -> Tuple[str, ...]:
     )
 
 
-def resolve_compiled(mode: str) -> Optional[str]:
-    """Map a ``compiled`` mode to a backend name (``None`` for ``"off"``).
+def resolve_compiled(mode: str) -> str:
+    """Map a ``compiled`` mode to a backend name.
 
+    ``"off"`` is an alias for the always-available numpy kernel;
     ``"auto"`` degrades through numba → jax → numpy and never raises; an
     explicitly requested native backend that is not importable raises a
     :class:`~repro.core.errors.ConfigurationError` naming the install
     extras.
     """
-    if mode == "off":
-        return None
     if mode == "auto":
         return available_backends()[0]
-    if mode == "numpy":
+    if mode in ("off", "numpy"):
         return "numpy"
     if mode in ("numba", "jax"):
         if not _backend_importable(mode):
@@ -189,7 +212,7 @@ def _burst_schedule(
 
     Within a held-model burst the step sequence depends on *time only*:
     ``h_j = min(h_nominal, t_end_min - t_j)`` and ``t_{j+1} = t_j + h_j``
-    replicate the interpreted loop's float arithmetic exactly (the
+    replicate the single-step loop's float arithmetic exactly (the
     per-lane ``min(t_end - t)`` clamp equals ``min(t_end) - t`` bitwise
     because float subtraction of a shared ``t`` is monotonic).  The
     schedule stops at the first time-based event: hold budget, earliest
@@ -233,7 +256,7 @@ def _burst_weights(
     ``history_times + times[:j+1]``, the Vandermonde powers are built by
     cumulative multiplication (matching ``np.vander(increasing=True)``)
     and all ``K`` transposed systems are solved in one stacked LAPACK
-    call — bitwise the same solves the interpreted path makes one by one.
+    call — bitwise the same solves the single-step path makes one by one.
     """
     k = order
     n_steps = len(times)
@@ -278,16 +301,15 @@ def _march_numpy(
     x_ref: np.ndarray,
     divergence_limit: np.ndarray,
 ) -> MarchResult:
-    """Reference kernel: the interpreted loop's expressions, verbatim.
+    """Reference kernel: the single-step expressions, verbatim.
 
-    The per-step state update replicates the interpreted path
-    (``BatchedReducedSystem.derivative`` + ``AdamsBashforth.step_batch``)
-    operation for operation, so fixed-step results are byte-identical.
-    The time-based exit events and all step weights are precomputed by
-    ``_burst_schedule``/``_burst_weights``; the state-dependent checks
-    (divergence guard, and the drift-refresh check when a
-    ``relinearise_state_rtol`` is set) run vectorised on kernel exit —
-    see DESIGN.md §7 for the in-burst guard-sampling semantics.
+    The per-step state update replicates ``BatchedReducedSystem.derivative``
+    + ``AdamsBashforth.step_batch`` operation for operation, so fixed-step
+    results are byte-identical to the scalar solver.  The time-based exit
+    events and all step weights are precomputed by
+    ``_burst_schedule``/``_burst_weights``; the state-dependent checks run
+    vectorised after every step: the divergence guard always, the
+    drift-refresh check when a ``relinearise_state_rtol`` is set.
     """
     history = list(history)
     order = len(history)
@@ -313,7 +335,7 @@ def _march_numpy(
     if rtol_active:
         # a drift-triggered refresh is a *state*-based exit the
         # time-based schedule cannot see; stop the burst before the step
-        # on which the interpreted loop would refresh
+        # on which the single-step loop would refresh
         ref_scale = np.max(np.abs(x_ref), axis=1)
         drift_limit = state_rtol * (ref_scale + 1e-300)
         if bool(np.any(np.max(np.abs(x - x_ref), axis=1) > drift_limit)):
@@ -325,6 +347,7 @@ def _march_numpy(
 
     steps = 0
     x_prev = x
+    diverged: Optional[np.ndarray] = None
     for j, t_j in enumerate(times):
         derivative = np.matmul(a, x[..., None])[..., 0] + b
         history.append((t_j, derivative))
@@ -334,38 +357,25 @@ def _march_numpy(
         x_prev = x
         x = x + np.matmul(weights[j][None, None, :], derivatives)[:, 0, :]
         steps += 1
+        bad = divergence_mask(x, divergence_limit)
+        if bool(np.any(bad)):
+            diverged = bad
+            break
         if rtol_active and j + 1 < len(times):
             if bool(np.any(np.max(np.abs(x - x_ref), axis=1) > drift_limit)):
                 break
-            norms = batched_state_norms(x)
-            bad = (
-                ~np.all(np.isfinite(x), axis=1)
-                | ~np.isfinite(norms)
-                | (norms > divergence_limit)
-            )
-            if bool(np.any(bad)):
-                break
 
-    t = times[steps - 1] + steps_h[steps - 1]
     h_taken = steps_h[:steps]
-
-    # divergence guard, vectorised on kernel exit
-    norms = batched_state_norms(x)
-    bad = (
-        ~np.all(np.isfinite(x), axis=1)
-        | ~np.isfinite(norms)
-        | (norms > divergence_limit)
-    )
     return MarchResult(
         steps=steps,
-        t=t,
+        t=times[steps - 1] + steps_h[steps - 1],
         x=x,
         x_prev=x_prev,
         history=history,
         h_min=min(h_taken),
         h_max=max(h_taken),
         h_last=steps_h[steps - 1],
-        diverged=bad if bool(np.any(bad)) else None,
+        diverged=diverged,
     )
 
 
@@ -457,8 +467,8 @@ def _march_loops_impl(
                     acc += a[i, row, col] * x[i, col]
                 hist_f[k - 1, i, row] = acc + b_vec[i, row]
 
-        # Adams-Bashforth weights: solve V^T w = moments as the
-        # interpreted `_variable_step_weights` does (powers built by
+        # Adams-Bashforth weights: solve V^T w = moments as
+        # `_variable_step_weights` does (powers built by
         # cumulative multiplication, matching np.vander)
         span = (t + h) - t
         for s in range(k):

@@ -1,18 +1,23 @@
-"""Compiled lane core: backend resolution, byte-identity, guard overflow."""
+"""Batched march kernels: backend resolution, byte-identity, guards."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core import kernels
-from repro.core.batch import BatchedSolver
-from repro.core.errors import ConfigurationError
+from repro.core.batch import BatchedSolver, BatchResult
+from repro.core.block import LinearBlock
+from repro.core.elimination import SystemAssembler
+from repro.core.errors import ConfigurationError, StabilityError
 from repro.core.kernels import (
     available_backends,
     batched_state_norms,
     resolve_compiled,
 )
+from repro.core.netlist import Netlist
+from repro.core.solver import LinearisedStateSpaceSolver, SolverSettings
 from repro.harvester.scenarios import (
     charging_scenario,
     prepare_assembly,
@@ -62,6 +67,26 @@ def _batched_run(scenarios, settings_list, compiled="off"):
     for i, harvester in enumerate(harvesters):
         harvester._wire(solver.lane_wiring(i))
     return solver.run([s.duration_s for s in scenarios])
+
+
+def _scalar_batch(scenarios, settings_list):
+    """Each lane on the scalar solver: the fixed-step oracle of the march.
+
+    The scalar solver runs without a digital kernel because batched lanes
+    are controller-free; a lane whose scalar run diverges is reported as
+    a failure, as the batched march retires it.
+    """
+    results, failures = [], {}
+    for i, (scenario, settings) in enumerate(zip(scenarios, settings_list)):
+        harvester = scenario.build_harvester()
+        solver = LinearisedStateSpaceSolver(harvester.assembler, settings=settings)
+        harvester._wire(solver)
+        try:
+            results.append(solver.run(scenario.duration_s))
+        except StabilityError as exc:
+            results.append(None)
+            failures[i] = exc
+    return BatchResult(results=results, failures=failures)
 
 
 def _assert_batches_identical(reference, result):
@@ -115,20 +140,20 @@ def _settings_for(scenario):
 @pytest.mark.parametrize("factory", sorted(LANE_SETS))
 @pytest.mark.parametrize("backend", available_backends())
 class TestFixedStepByteIdentity:
-    def test_backend_matches_interpreted_exactly(self, factory, backend):
+    def test_backend_matches_scalar_solver_exactly(self, factory, backend):
         scenarios = LANE_SETS[factory]()
         step = 1e-4 if hasattr(scenarios[0], "config") else 5e-5
         settings_list = [
             replace(_settings_for(s), fixed_step=step) for s in scenarios
         ]
-        reference = _batched_run(scenarios, settings_list, compiled="off")
+        reference = _scalar_batch(scenarios, settings_list)
         result = _batched_run(scenarios, settings_list, compiled=backend)
         assert not reference.failures
         for got in result.results:
             assert got.metadata["compiled"] == backend
         _assert_batches_identical(reference, result)
 
-    def test_hold_interval_matches_interpreted_exactly(self, factory, backend):
+    def test_hold_interval_matches_scalar_solver_exactly(self, factory, backend):
         # the amortised profile is where the burst kernel actually runs
         # long windows; identity must survive it
         scenarios = LANE_SETS[factory]()
@@ -137,33 +162,77 @@ class TestFixedStepByteIdentity:
             replace(_settings_for(s), fixed_step=step, relinearise_interval=8)
             for s in scenarios
         ]
-        reference = _batched_run(scenarios, settings_list, compiled="off")
+        reference = _scalar_batch(scenarios, settings_list)
         result = _batched_run(scenarios, settings_list, compiled=backend)
         assert not reference.failures
         _assert_batches_identical(reference, result)
 
 
-class TestAdaptiveIdentity:
-    def test_numpy_backend_matches_interpreted_exactly(self):
-        # the numpy kernel replays the interpreted arithmetic expression
-        # for expression, so even adaptive shared-step runs stay bitwise
-        scenarios = LANE_SETS["charging"]()
-        settings_list = [_settings_for(s) for s in scenarios]
-        reference = _batched_run(scenarios, settings_list, compiled="off")
-        result = _batched_run(scenarios, settings_list, compiled="numpy")
-        assert not reference.failures
-        _assert_batches_identical(reference, result)
+def _assert_bursts_match_single_steps(per_step, burst):
+    """Every sample and stat of a burst march equals the single-step march.
 
-    def test_hold_profile_adaptive_matches_interpreted_exactly(self):
-        scenarios = LANE_SETS["charging"]()
-        settings_list = [
-            replace(_settings_for(s), relinearise_interval=16)
+    ``per_step`` records every step, ``burst`` only at its record
+    interval, so each burst sample is looked up at its own time in the
+    per-step traces.
+    """
+    assert set(per_step.failures) == set(burst.failures)
+    for i, (ref, got) in enumerate(zip(per_step.results, burst.results)):
+        assert (ref is None) == (got is None)
+        if ref is None:
+            continue
+        assert sorted(ref.traces) == sorted(got.traces)
+        for name in ref.traces:
+            ref_times = np.asarray(ref[name].times)
+            got_times = np.asarray(got[name].times)
+            rows = np.searchsorted(ref_times, got_times)
+            assert np.array_equal(ref_times[rows], got_times), (
+                f"lane {i} {name}: burst sample times are not step times"
+            )
+            assert np.array_equal(
+                np.asarray(ref[name].values)[rows], got[name].values
+            ), f"lane {i} {name}: values differ"
+        ref_stats, got_stats = ref.stats.as_dict(), got.stats.as_dict()
+        del ref_stats["cpu_time_s"], got_stats["cpu_time_s"]
+        assert ref_stats == got_stats, f"lane {i}: stats differ"
+        for key in (
+            "n_jacobian_reuses",
+            "lle_max_jacobian_change",
+            "lle_flagged_steps",
+        ):
+            assert ref.metadata[key] == got.metadata[key], (
+                f"lane {i} metadata {key} differs"
+            )
+
+
+@pytest.mark.parametrize("hold", (1, 4))
+@pytest.mark.parametrize("factory", sorted(LANE_SETS))
+class TestAdaptiveBurstOracle:
+    """Adaptive kernel bursts are bitwise equal to single steps.
+
+    The single-step march is the same loop with ``record_interval=0``:
+    a lane that records every step keeps the recorder from ever being
+    burst-ready, so no kernel burst runs.
+    """
+
+    def test_bursts_match_single_steps_bitwise(self, factory, hold):
+        scenarios = LANE_SETS[factory]()
+        settings = [
+            replace(_settings_for(s), relinearise_interval=hold)
             for s in scenarios
         ]
-        reference = _batched_run(scenarios, settings_list, compiled="off")
-        result = _batched_run(scenarios, settings_list, compiled="numpy")
-        assert not reference.failures
-        _assert_batches_identical(reference, result)
+        assert all(s.record_interval > 0.0 for s in settings)
+        burst = _batched_run(scenarios, settings, compiled="numpy")
+        per_step = _batched_run(
+            LANE_SETS[factory](),
+            [replace(s, record_interval=0.0) for s in settings],
+            compiled="numpy",
+        )
+        assert not per_step.failures
+        for got in burst.results:
+            assert got.metadata["compiled_kernel_time_s"] > 0.0
+        for ref in per_step.results:
+            assert ref.metadata["compiled_kernel_time_s"] == 0.0
+        _assert_bursts_match_single_steps(per_step, burst)
 
 
 class TestLaneRetirement:
@@ -171,16 +240,103 @@ class TestLaneRetirement:
         scenarios = LANE_SETS["charging"]()
         settings_list = _fixed_settings(scenarios, 1e-4)
         settings_list[1] = replace(settings_list[1], divergence_limit=1e-9)
-        reference = _batched_run(scenarios, settings_list, compiled="off")
+        reference = _scalar_batch(scenarios, settings_list)
         result = _batched_run(scenarios, settings_list, compiled="numpy")
         assert set(result.failures) == {1}
         assert result.results[1] is None
         _assert_batches_identical(reference, result)
 
 
+def _growth_assembler(rate: float) -> SystemAssembler:
+    """A linear system whose state norm grows by about ``rate`` per second."""
+    grow = LinearBlock(
+        "grow",
+        a=np.array([[rate, 0.0], [0.0, rate]]),
+        b=np.array([[0.0], [0.0]]),
+        state_names=("u", "v"),
+        terminal_names=("p",),
+        c=np.array([[1.0, 0.0]]),
+        d=np.array([[1.0]]),
+    )
+    sink = LinearBlock(
+        "sink",
+        a=np.array([[-2.0]]),
+        b=np.array([[0.5]]),
+        state_names=("w",),
+        terminal_names=("p",),
+    )
+    netlist = Netlist()
+    netlist.add_block(grow)
+    netlist.add_block(sink)
+    netlist.connect(grow.terminal("p"), sink.terminal("p"))
+    return SystemAssembler(netlist)
+
+
+def _diverged_at(error: Exception) -> str:
+    match = re.search(r"diverged at t=(\S+) ", str(error))
+    assert match, str(error)
+    return match.group(1)
+
+
+class TestInBurstDivergence:
+    """The numpy kernel checks the divergence guard after every step."""
+
+    STEP = 1e-3
+    HOLD = 4
+    #: 1-based step after which the growing lane first exceeds its limit:
+    #: steps 5-8 form one kernel burst at hold 4, so step 6 is strictly
+    #: inside it
+    TRIP_STEP = 6
+
+    def _settings(self, divergence_limit=1e12):
+        # a record interval longer than the run keeps every burst at
+        # its full hold window
+        return SolverSettings(
+            fixed_step=self.STEP,
+            relinearise_interval=self.HOLD,
+            record_interval=1.0,
+            divergence_limit=divergence_limit,
+        )
+
+    def test_lane_retires_at_the_step_that_trips_the_guard(self):
+        x0 = np.array([1.0, 1.0, 0.0])
+        t_end = 0.02
+        probe = LinearisedStateSpaceSolver(
+            _growth_assembler(100.0),
+            settings=replace(self._settings(), record_interval=0.0),
+        )
+        traces = probe.run(t_end, x0=x0).traces
+        states = [traces[name].values for name in probe.assembler.state_names()]
+        norms = np.sqrt(np.sum(np.square(states), axis=0))
+        # traces[0] is t=0, so norms[k] is the state after step k
+        k = self.TRIP_STEP
+        assert norms[k - 1] < norms[k]
+        assert self.TRIP_STEP % self.HOLD != 0
+        limit = 0.5 * (norms[k - 1] + norms[k])
+        tight = self._settings(divergence_limit=limit)
+
+        scalar = LinearisedStateSpaceSolver(_growth_assembler(100.0), settings=tight)
+        with pytest.raises(StabilityError) as scalar_error:
+            scalar.run(t_end, x0=x0)
+        assert float(_diverged_at(scalar_error.value)) == pytest.approx(k * self.STEP)
+
+        solver = BatchedSolver(
+            [_growth_assembler(100.0), _growth_assembler(-50.0)],
+            settings=[tight, self._settings()],
+            compiled="numpy",
+        )
+        batch = solver.run(t_end, x0=np.tile(x0, (2, 1)))
+        assert set(batch.failures) == {0}
+        assert isinstance(batch.failures[0], StabilityError)
+        assert _diverged_at(batch.failures[0]) == _diverged_at(scalar_error.value)
+        survivor = batch.results[1]
+        assert survivor.metadata["compiled_kernel_time_s"] > 0.0
+        assert survivor.stats.final_time == pytest.approx(t_end)
+
+
 class TestBackendResolution:
-    def test_off_resolves_to_no_backend(self):
-        assert resolve_compiled("off") is None
+    def test_off_aliases_the_numpy_kernel(self):
+        assert resolve_compiled("off") == "numpy"
 
     def test_numpy_is_always_available(self):
         assert "numpy" in available_backends()
@@ -212,10 +368,10 @@ class TestNoNumbaEnvironment:
         assert available_backends() == ("numpy",)
         assert resolve_compiled("auto") == "numpy"
 
-    def test_auto_still_runs_and_matches_interpreted(self):
+    def test_auto_still_runs_and_matches_scalar_solver(self):
         scenarios = LANE_SETS["charging"]()
         settings_list = _fixed_settings(scenarios, 1e-4)
-        reference = _batched_run(scenarios, settings_list, compiled="off")
+        reference = _scalar_batch(scenarios, settings_list)
         result = _batched_run(scenarios, settings_list, compiled="auto")
         for got in result.results:
             assert got.metadata["compiled"] == "numpy"
@@ -254,6 +410,23 @@ class TestOptionsPlumbing:
         )
         assert fixed.fingerprint()["compiled"] == "off"
         assert RunOptions.batched().fingerprint()["compiled"] == "off"
+
+    def test_batched_default_runs_the_numpy_kernel(self, monkeypatch):
+        from repro.api import RunOptions, Study
+
+        monkeypatch.setattr(
+            kernels, "_PROBE_CACHE", {"numba": False, "jax": False}
+        )
+        result = (
+            Study.scenario(charging_scenario(duration_s=0.01))
+            .options(RunOptions.batched(n_workers=1))
+            .sweep(excitation_frequency_hz=[68.0, 70.0])
+            .run()
+        )
+        assert result.engine_info.n_batched_candidates == 2
+        assert result.engine_info.compiled == "off"
+        assert result.engine_info.compiled_backend == "numpy"
+        assert result.engine_info.kernel_time_s > 0.0
 
     def test_options_round_trip_keeps_the_mode(self):
         from repro.api import RunOptions
