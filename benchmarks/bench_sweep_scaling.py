@@ -7,8 +7,7 @@ excitation amplitude of the supercapacitor-charging scenario) is evaluated
 two ways:
 
 * **serial loop** — ``Study`` with default (exact) options: one
-  candidate at a time, exact every-step relinearisation — byte-identical
-  to the historical ``ParameterSweep.run()`` path;
+  candidate at a time, exact every-step relinearisation;
 * **parallel engine** — ``RunOptions.fast(n_workers=4)``: 4 worker
   processes, per-worker assembly-structure reuse and the
   amortised-relinearisation profile (``relinearise_interval=4``).

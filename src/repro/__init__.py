@@ -40,10 +40,6 @@ Quick start::
         .run()
     )
     print(result.format())
-
-The historical entry points (``run_proposed``, ``ParameterSweep.run``,
-direct ``SweepEngine`` use) remain available as deprecation shims over
-the facade and return byte-identical results (DESIGN.md §4).
 """
 
 from .core import (
@@ -70,7 +66,6 @@ from .core import (
 from .analysis import (
     EngineRunInfo,
     ParameterSweep,
-    SweepEngine,
     SweepPoint,
     SweepResult,
     sweep_excitation_frequency,
@@ -90,9 +85,6 @@ from .harvester import (
     piezoelectric_scenario,
     piezoelectric_spec,
     prepare_assembly,
-    run_baseline,
-    run_proposed,
-    run_reference,
     scenario_1,
     scenario_2,
 )
@@ -146,7 +138,6 @@ __all__ = [
     # analysis / sweeps
     "EngineRunInfo",
     "ParameterSweep",
-    "SweepEngine",
     "SweepPoint",
     "SweepResult",
     "sweep_excitation_frequency",
@@ -165,9 +156,6 @@ __all__ = [
     "piezoelectric_scenario",
     "piezoelectric_spec",
     "prepare_assembly",
-    "run_baseline",
-    "run_proposed",
-    "run_reference",
     "scenario_1",
     "scenario_2",
     "__version__",

@@ -2,7 +2,7 @@
 comparison, CPU-time tables and design-space sweeps (serial or parallel
 through the sweep engine)."""
 
-from .engine import EngineRunInfo, SweepEngine
+from .engine import EngineRunInfo
 from .frequency import (
     detect_frequency_fft,
     detect_frequency_zero_crossing,
@@ -39,7 +39,6 @@ from .waveforms import (
 
 __all__ = [
     "EngineRunInfo",
-    "SweepEngine",
     "detect_frequency_fft",
     "detect_frequency_zero_crossing",
     "frequency_mismatch",

@@ -3,8 +3,10 @@
 The paper motivates its fast non-iterative solver with "automated design
 … using multiple simulations": design exploration evaluates a *grid* of
 candidate configurations, and the grid — not any single run — is the real
-workload.  This module turns the serial loop of
-:class:`repro.analysis.sweep.ParameterSweep` into an engine that
+workload.  This module holds the engine that evaluates the candidates of
+a :class:`repro.analysis.sweep.ParameterSweep`.  It is internal: the
+:mod:`repro.api` planner builds it from one validated
+:class:`~repro.api.options.RunOptions`.  The engine
 
 * executes candidates in **parallel worker processes**
   (:mod:`concurrent.futures`, configurable worker count) while keeping the
@@ -31,7 +33,7 @@ workload.  This module turns the serial loop of
   :mod:`repro.io.csvio`, so an interrupted sweep resumes from the last
   completed candidate (``checkpoint_path=``); the checkpoint header
   carries a grid/config hash (parameter values, solver profile, backend,
-  base-scenario fingerprint) and resuming against a *changed* sweep
+  the serialised base scenario) and resuming against a *changed* sweep
   raises instead of stitching stale scores into the wrong candidates;
 * reports **progress and the best candidate so far** through a callback
   (see :func:`repro.io.report.format_sweep_progress` for a ready-made
@@ -45,17 +47,18 @@ workload.  This module turns the serial loop of
   Candidates whose fast run trips the stability guard are transparently
   re-run with the exact every-step profile.
 
-Since the exploration refactor the engine also **drives candidate
-generation strategies** (:mod:`repro.explore`): :meth:`SweepEngine.run`
-is one round of :meth:`SweepEngine.run_explore` over the dense
+The engine also **drives candidate generation strategies**
+(:mod:`repro.explore`): :meth:`SweepEngine.run` is one round of
+:meth:`SweepEngine.run_explore` over the dense
 :class:`~repro.explore.GridStrategy`, and budgeted searches (seeded
 sampling, successive halving, grid extension) reuse the exact same
 dispatch/checkpoint/cache machinery round by round.
 
 Determinism contract: with the default profile (``relinearise_interval``
-unset or 1) the engine's scores are byte-identical to the plain serial
-loop, for any worker count — candidates are independent simulations and
-worker processes run the exact same floating-point program.
+unset or 1) the engine's scores are byte-identical to inline
+(``n_workers=1``) evaluation, for any worker count — candidates are
+independent simulations and worker processes run the exact same
+floating-point program.
 """
 
 from __future__ import annotations
@@ -67,9 +70,8 @@ import pickle
 import warnings
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
-from .._deprecation import warn_deprecated
 from ..core.batch import BatchedSolver
 from ..core.elimination import AssemblyStructure
 from ..core.errors import ConfigurationError, StabilityError
@@ -86,13 +88,10 @@ from ..io.csvio import (
     write_checkpoint_header,
 )
 
+if TYPE_CHECKING:
+    from ..api.options import RunOptions
+
 __all__ = ["SweepEngine", "EngineRunInfo"]
-
-#: execution backends of the sweep engine
-_BACKENDS = ("process", "batched", "queue")
-
-#: progress callback: ``progress(done, total, best_point_or_None)``
-ProgressFn = Callable[[int, int, Optional["SweepPoint"]], None]
 
 _CHECKPOINT_FIELDS = ("index", "score", "cpu_time_s", "exact_rerun")
 
@@ -417,202 +416,44 @@ def _evaluate_task(task: _Task) -> _Outcome:
 class SweepEngine:
     """Executes the candidates of a :class:`ParameterSweep` at scale.
 
-    Parameters
-    ----------
-    n_workers:
-        Worker processes to use.  ``1`` (default) evaluates inline —
-        bit-identical to, and a drop-in replacement for, the historical
-        serial loop.  ``None`` uses ``os.cpu_count()``.
-    checkpoint_path:
-        Optional CSV path for checkpoint/resume.  Completed candidates
-        are appended as they finish; if the file already exists and
-        matches this sweep (metric + parameter names), the recorded
-        candidates are *not* re-evaluated.
-    progress:
-        Optional callback ``progress(done, total, best_point)`` invoked
-        after every completed candidate with the best-so-far point.
-    relinearise_interval:
-        Optional solver-profile override applied to every candidate (on
-        top of per-candidate default settings): hold each linearisation
-        for up to this many steps (see
-        :class:`repro.core.solver.SolverSettings`).  ``None`` leaves the
-        profile untouched (exact, byte-identical scores); values > 1 are
-        faster with a documented 10 % relative score tolerance (typically
-        a few percent; measured by ``bench_sweep_scaling.py``).
-    reuse_assembly:
-        Reuse the structural assembly setup across same-topology
-        candidates (on by default; results are identical either way).
-    backend:
-        ``"process"`` (default) evaluates one candidate per task exactly
-        as before.  ``"batched"`` groups controller-free candidates by
-        topology hash and marches each group in lock-step through the
-        lane-parallel :class:`~repro.core.batch.BatchedSolver` — stacked
-        ``(B, n, n)`` linearise/eliminate/march, one NumPy call per step
-        for the whole group.  Candidates with digital events, singleton
-        groups and lanes retired by the stability guard transparently
-        fall back to the scalar path.  With ``fixed_step`` settings the
-        batched waveforms are byte-identical to scalar runs; in adaptive
-        shared-step mode scores carry the same documented 10 % relative
-        tolerance as the amortised-relinearisation profile.  Composes
-        with ``n_workers``: each worker process marches one lane block.
-    lane_width:
-        Maximum lanes per batched block.  Default: one block per
-        topology (serial) or one block per worker per topology.
-    compiled:
-        March-kernel mode for the batched march
-        (:mod:`repro.core.kernels`): ``"off"`` (default) is an alias for
-        the NumPy kernel, ``"auto"`` picks the best importable kernel
-        backend, ``"numba"``/``"jax"``/``"numpy"`` pin one (raising
-        eagerly when it is not importable).  Batched backend only;
-        fixed-step results are byte-identical across modes.
-    cache:
-        Result-cache mode (:mod:`repro.cache`): ``"off"`` (default) never
-        touches the store; ``"read"`` serves per-candidate sweep points
-        from the content-addressed store; ``"readwrite"`` additionally
-        records misses (workers write as candidates finish, the parent
-        serves hits before dispatch).  Keys digest the candidate's full
-        serialised scenario plus the canonical execution fingerprint
-        (:func:`repro.api.options.execution_fingerprint`) — the same
-        helper the checkpoint config-hash uses, so a cache hit and a
-        checkpoint resume agree on what "the same execution" means.
-        Caching requires serialisable scenarios (``Scenario`` /
-        ``SpecScenario``) and a stock named metric.  Caveat for
-        ``backend="batched"`` in adaptive shared-step mode: lane-block
-        composition (which depends on which candidates are pending) can
-        shift scores within the backend's documented 10 % tolerance, so
-        a partially warm rerun may serve scores a fully cold run would
-        have computed under a different grouping — use ``fixed_step``
-        settings when bit-exact warm/cold agreement matters.
-    cache_dir:
-        Store root (``None``: ``REPRO_CACHE_DIR`` or ``~/.cache/repro``).
-    store_url:
-        Shared result-store URL (:mod:`repro.dist`) — the alternative to
-        ``cache_dir`` for memory:// and kv:// stores, and required by
-        ``backend="queue"``.
-    lease_timeout_s:
-        Queue-backend lease duration: how long a worker may go without
-        heartbeating before its candidate is reclaimed (default 30 s).
+    Internal: the :mod:`repro.api` planner builds one engine per sweep
+    from the :class:`~repro.api.options.RunOptions` a
+    :class:`~repro.api.study.Study` resolved, so every knob arrives
+    validated (the option docs live on ``RunOptions``).  The engine
+    re-checks none of them; it only resolves ``n_workers=None`` to
+    ``os.cpu_count()``.
 
-    The ``backend="queue"`` mode dispatches each round's pending
-    candidates to a distributed work queue living next to the shared
-    store (:class:`repro.dist.executor.QueueSweepExecutor`): external
-    ``repro worker`` processes lease tasks, evaluate them on the *same*
-    scalar candidate path as ``backend="process"`` and write results
-    through the store, so scores are identical and at-least-once
-    execution after worker crashes is harmless.
+    ``backend="process"`` evaluates one candidate per task;
+    ``"batched"`` groups controller-free candidates by topology hash and
+    marches each group in lock-step through the lane-parallel
+    :class:`~repro.core.batch.BatchedSolver` (``lane_width`` lanes per
+    block; digital events, singleton groups and retired lanes fall back to
+    the scalar path); ``"queue"`` dispatches each round's pending
+    candidates to a distributed work queue next to the shared store
+    (:class:`repro.dist.executor.QueueSweepExecutor`), whose external
+    ``repro worker`` processes run the *same* scalar candidate path and
+    write results through the store, so scores are identical and
+    at-least-once execution after worker crashes is harmless.
+
+    Cache keys digest the candidate's full serialised scenario plus
+    :meth:`RunOptions.fingerprint` — the same fingerprint the checkpoint
+    config-hash folds in, so a cache hit and a checkpoint resume agree on
+    what "the same execution" means.  Caveat for ``backend="batched"`` in
+    adaptive shared-step mode: lane-block composition (which depends on
+    which candidates are pending) can shift scores within the backend's
+    documented 10 % tolerance, so a partially warm rerun may serve scores
+    a fully cold run would have computed under a different grouping — use
+    ``fixed_step`` settings when bit-exact warm/cold agreement matters.
     """
 
-    def __init__(
-        self,
-        n_workers: Optional[int] = 1,
-        *,
-        checkpoint_path: Optional[str] = None,
-        progress: Optional[ProgressFn] = None,
-        relinearise_interval: Optional[int] = None,
-        reuse_assembly: bool = True,
-        backend: str = "process",
-        lane_width: Optional[int] = None,
-        compiled: str = "off",
-        cache: str = "off",
-        cache_dir: Optional[str] = None,
-        store_url: Optional[str] = None,
-        lease_timeout_s: Optional[float] = None,
-        _facade: bool = False,
-    ) -> None:
-        if not _facade:
-            # direct construction is deprecated: the repro.api facade
-            # (Study.sweep(...).run() / planner.execute_sweep) is the
-            # canonical path and builds the engine with _facade=True
-            warn_deprecated(
-                "direct SweepEngine use",
-                "Study.scenario(...).options(RunOptions(...)).sweep(...).run()",
-            )
-        if n_workers is None:
-            n_workers = os.cpu_count() or 1
-        if n_workers < 1:
-            raise ConfigurationError("n_workers must be at least 1")
-        if relinearise_interval is not None and relinearise_interval < 1:
-            raise ConfigurationError("relinearise_interval must be at least 1")
-        if backend not in _BACKENDS:
-            raise ConfigurationError(
-                f"unknown backend {backend!r}; choose from {_BACKENDS}"
-            )
-        if lane_width is not None and lane_width < 1:
-            raise ConfigurationError("lane_width must be at least 1")
-        if lane_width is not None and backend != "batched":
-            raise ConfigurationError(
-                f"incoherent options: lane_width={lane_width} with "
-                f"backend={backend!r} — lane widths only apply to the "
-                "batched backend; drop lane_width or select "
-                "backend='batched'"
-            )
-        from ..core.kernels import COMPILED_MODES, resolve_compiled
-
-        if compiled not in COMPILED_MODES:
-            raise ConfigurationError(
-                f"unknown compiled mode {compiled!r}; choose from "
-                f"{COMPILED_MODES}"
-            )
-        if compiled != "off":
-            if backend != "batched":
-                raise ConfigurationError(
-                    f"incoherent options: compiled={compiled!r} with "
-                    f"backend={backend!r} — the compiled lane core "
-                    "accelerates the batched lock-step march; drop "
-                    "compiled or select backend='batched'"
-                )
-            # fail in the parent at construction, not in a worker
-            # mid-sweep, when an explicit backend is not importable
-            resolve_compiled(compiled)
-        from ..api.options import CACHE_MODES
-
-        if cache not in CACHE_MODES:
-            raise ConfigurationError(
-                f"unknown cache mode {cache!r}; choose from {CACHE_MODES}"
-            )
-        if store_url is not None and cache_dir is not None:
-            raise ConfigurationError(
-                f"incoherent options: store_url={store_url!r} with "
-                f"cache_dir={cache_dir!r} — both name the result store; "
-                "pick one"
-            )
-        if backend == "queue":
-            if store_url is None:
-                raise ConfigurationError(
-                    "incoherent options: backend='queue' without store_url — "
-                    "the parent and its `repro worker` fleet communicate "
-                    "only through a shared store; pass store_url (a path, "
-                    "file://, memory:// or kv://host:port)"
-                )
-            if cache != "readwrite":
-                raise ConfigurationError(
-                    f"incoherent options: backend='queue' with cache={cache!r} "
-                    "— queue results travel through store writes, so the "
-                    "sweep needs cache='readwrite'"
-                )
-        elif lease_timeout_s is not None:
-            raise ConfigurationError(
-                f"incoherent options: lease_timeout_s={lease_timeout_s} with "
-                f"backend={backend!r} — leases pace the distributed work "
-                "queue; drop it or select backend='queue'"
-            )
-        self.n_workers = int(n_workers)
-        self.checkpoint_path = checkpoint_path
-        self.progress = progress
-        self.relinearise_interval = relinearise_interval
-        self.reuse_assembly = reuse_assembly
-        self.backend = backend
-        self.lane_width = lane_width
-        self.compiled = compiled
-        self.cache = cache
-        self.cache_dir = cache_dir
-        self.store_url = store_url
-        self.lease_timeout_s = lease_timeout_s
+    def __init__(self, options: RunOptions) -> None:
+        self.options = options
+        self.n_workers = options.n_workers or os.cpu_count() or 1
 
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #
-    def run(self, sweep, integrator=None, settings=None):
+    def run(self, sweep):
         """Evaluate every candidate of ``sweep`` and return a ``SweepResult``.
 
         The returned points are in candidate enumeration order regardless
@@ -624,17 +465,9 @@ class SweepEngine:
         """
         from ..explore import GridStrategy
 
-        exploration = self.run_explore(
-            sweep,
-            GridStrategy(sweep.parameters),
-            integrator=integrator,
-            settings=settings,
-        )
-        return exploration.final
+        return self.run_explore(sweep, GridStrategy(sweep.parameters)).final
 
-    def run_explore(
-        self, sweep, strategy, *, integrator=None, settings=None, seed=None
-    ):
+    def run_explore(self, sweep, strategy):
         """Drive an exploration strategy through rounds of sweep execution.
 
         Each round the ``strategy`` proposes candidates (grid points plus
@@ -645,8 +478,8 @@ class SweepEngine:
         strategy reports ``done()``.  Candidate indices are global across
         rounds, so one checkpoint file covers the whole search; the
         checkpoint config-hash folds in ``strategy.fingerprint()`` (and
-        ``seed``), so a checkpoint never resumes against a *different*
-        search.  Short-horizon candidates simulate
+        the options' ``seed``), so a checkpoint never resumes against a
+        *different* search.  Short-horizon candidates simulate
         ``scenario.scaled(duration_s * horizon)`` — their cache entries
         key on the scaled scenario and never collide with full runs.
 
@@ -662,9 +495,7 @@ class SweepEngine:
         )
         from .sweep import SweepPoint, SweepResult
 
-        recorded = self._load_checkpoint_rows(
-            sweep, strategy, integrator, settings, seed
-        )
+        recorded = self._load_checkpoint_rows(sweep, strategy)
 
         schedule = strategy.schedule()
         planned_total = (
@@ -688,9 +519,7 @@ class SweepEngine:
             proposals = strategy.propose(round_index)
             if not proposals:
                 break
-            tasks = self._build_round_tasks(
-                sweep, proposals, offset, integrator, settings
-            )
+            tasks = self._build_round_tasks(sweep, proposals, offset)
             outcomes: Dict[int, _Outcome] = {}
             n_resumed = 0
             for task in tasks:
@@ -698,9 +527,7 @@ class SweepEngine:
                 if row is not None:
                     outcomes[task.index] = row
                     n_resumed += 1
-            n_cache_hits, tasks = self._apply_cache(
-                sweep, tasks, outcomes, integrator, settings, seed=seed
-            )
+            n_cache_hits, tasks = self._apply_cache(sweep, tasks, outcomes)
             total = (
                 planned_total if planned_total is not None else offset + len(tasks)
             )
@@ -775,7 +602,7 @@ class SweepEngine:
                 if o.compiled_backend:
                     compiled_backend = o.compiled_backend
             n_lane_blocks += sum(1 for block in blocks if len(block) > 1)
-            if self.backend == "batched":
+            if self.options.backend == "batched":
                 n_batch_fallbacks += sum(1 for block in blocks if len(block) == 1)
             done_before += len(outcomes)
             offset += len(tasks)
@@ -795,14 +622,14 @@ class SweepEngine:
             n_resumed=n_resumed_total,
             n_exact_reruns=n_exact_reruns,
             parallel=any_parallel,
-            relinearise_interval=self.relinearise_interval,
-            backend=self.backend,
+            relinearise_interval=self.options.relinearise_interval,
+            backend=self.options.backend,
             n_lane_blocks=n_lane_blocks,
             n_batch_fallbacks=n_batch_fallbacks,
             n_batched_candidates=n_batched,
             n_cache_hits=n_cache_hits_total,
-            cache=self.cache,
-            compiled=self.compiled,
+            cache=self.options.cache,
+            compiled=self.options.compiled,
             compiled_backend=compiled_backend,
             kernel_time_s=kernel_time_s,
             refresh_time_s=refresh_time_s,
@@ -829,9 +656,7 @@ class SweepEngine:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _build_round_tasks(
-        self, sweep, proposals, offset: int, integrator, settings
-    ) -> List[_Task]:
+    def _build_round_tasks(self, sweep, proposals, offset: int) -> List[_Task]:
         """Resolve one round of proposals into fully-specified tasks.
 
         Indices are offset by the number of candidates proposed in earlier
@@ -851,11 +676,11 @@ class SweepEngine:
                     parameters=dict(proposal.parameters),
                     scenario=scenario,
                     metric=sweep.metric,
-                    integrator=integrator,
-                    settings=settings,
-                    relinearise_interval=self.relinearise_interval,
-                    reuse_assembly=self.reuse_assembly,
-                    compiled=self.compiled,
+                    integrator=self.options.integrator,
+                    settings=self.options.settings,
+                    relinearise_interval=self.options.relinearise_interval,
+                    reuse_assembly=self.options.reuse_assembly,
+                    compiled=self.options.compiled,
                 )
             )
         return tasks
@@ -883,7 +708,7 @@ class SweepEngine:
         task_by_index = {task.index: task for task in tasks}
 
         def emit_progress() -> None:
-            if self.progress is None or not outcomes:
+            if self.options.progress is None or not outcomes:
                 return
             best = max(outcomes.values(), key=lambda o: o.score)
             task = task_by_index[best.index]
@@ -892,13 +717,13 @@ class SweepEngine:
                 score=best.score,
                 metadata={"cpu_time_s": best.cpu_time_s},
             )
-            self.progress(done_before + len(outcomes), total, point)
+            self.options.progress(done_before + len(outcomes), total, point)
 
         def record(outcome: _Outcome) -> None:
             outcomes[outcome.index] = outcome
-            if self.checkpoint_path is not None:
+            if self.options.checkpoint_path is not None:
                 append_checkpoint_row(
-                    self.checkpoint_path,
+                    self.options.checkpoint_path,
                     [
                         outcome.index,
                         repr(outcome.score),
@@ -911,7 +736,7 @@ class SweepEngine:
         if n_preloaded:
             emit_progress()
 
-        if self.backend == "queue":
+        if self.options.backend == "queue":
             # distributed dispatch: every pending candidate becomes a
             # queue task for the external worker fleet; results come back
             # through the shared store, in completion order, exactly like
@@ -924,7 +749,7 @@ class SweepEngine:
         # marched in lock-step by the batched solver, or a single candidate
         # evaluated on the scalar path (always the case for the process
         # backend and for candidates with digital events)
-        if self.backend == "batched":
+        if self.options.backend == "batched":
             blocks = self._plan_lane_blocks(pending)
         else:
             blocks = [[task] for task in pending]
@@ -959,14 +784,13 @@ class SweepEngine:
         from ..dist.executor import QueueSweepExecutor
         from ..dist.queue import open_queue
 
-        store = open_store(store_url=self.store_url)
-        queue = open_queue(self.store_url)
-        lease_s = (
-            float(self.lease_timeout_s)
-            if self.lease_timeout_s is not None
-            else 30.0
-        )
-        executor = QueueSweepExecutor(store, queue, lease_s=lease_s)
+        store = open_store(store_url=self.options.store_url)
+        queue = open_queue(self.options.store_url)
+        lease = {}
+        if self.options.lease_timeout_s is not None:
+            # unset: the executor owns the default lease
+            lease["lease_s"] = float(self.options.lease_timeout_s)
+        executor = QueueSweepExecutor(store, queue, **lease)
         executor.run(
             pending,
             lambda data: record(
@@ -997,7 +821,7 @@ class SweepEngine:
                 scalar.append(task)
         blocks: List[List[_Task]] = []
         for group in groups.values():
-            width = self.lane_width
+            width = self.options.lane_width
             if width is None:
                 width = (
                     math.ceil(len(group) / self.n_workers)
@@ -1012,45 +836,27 @@ class SweepEngine:
         blocks.sort(key=lambda block: block[0].index)
         return blocks
 
-    def _execution_fingerprint(
-        self, integrator, settings, seed=None
-    ) -> Dict[str, object]:
-        """The canonical result-affecting options fingerprint of this run.
-
-        One helper — :func:`repro.api.options.execution_fingerprint` —
-        feeds both the checkpoint config-hash and the cache keys, so the
-        two persistence layers can never diverge on what "the same
-        execution" means (a divergence would make cache hits lie about
-        matching an existing checkpoint, or vice versa).
-        """
-        from ..api.options import execution_fingerprint
-
-        return execution_fingerprint(
-            integrator=integrator,
-            settings=settings,
-            relinearise_interval=self.relinearise_interval,
-            backend=self.backend,
-            seed=seed,
-            compiled=self.compiled,
-        )
-
-    def _checkpoint_metadata(
-        self, sweep, integrator, settings, *, strategy=None, seed=None
-    ) -> Dict[str, str]:
+    def _checkpoint_metadata(self, sweep, strategy=None) -> Dict[str, str]:
         # the grid/config hash covers the parameter *values* (not just
         # names), the canonical execution fingerprint (solver profile,
         # integrator, settings, backend — shared with the cache keys) and
-        # the base scenario's identity, so a checkpoint cannot silently
+        # the base scenario's content, so a checkpoint cannot silently
         # map stale scores onto a reshaped grid, a different-accuracy
         # profile, a different backend or a different base configuration
         import json as _json
 
         scenario = sweep.scenario
-        scenario_fingerprint = (
-            getattr(scenario, "name", ""),
-            getattr(scenario, "duration_s", None),
-            _topology_key(scenario),
-        )
+        if callable(getattr(scenario, "to_dict", None)):
+            # the whole serialised base scenario, so a changed excitation
+            # or pre-charge is a different base, not a resumable one
+            scenario_fingerprint = _json.dumps(scenario.to_dict(), sort_keys=True)
+        else:
+            # duck-typed scenarios have no canonical form: coarse identity
+            scenario_fingerprint = (
+                getattr(scenario, "name", ""),
+                getattr(scenario, "duration_s", None),
+                _topology_key(scenario),
+            )
         # a strategy fingerprint of None means "legacy grid-compatible":
         # the digest tuple stays exactly the dense sweep's, so a grid
         # exploration resumes pre-existing dense-sweep checkpoints (and
@@ -1063,10 +869,7 @@ class SweepEngine:
                 (name, tuple(values))
                 for name, values in sweep.parameters.items()
             ),
-            _json.dumps(
-                self._execution_fingerprint(integrator, settings, seed=seed),
-                sort_keys=True,
-            ),
+            _json.dumps(self.options.fingerprint(), sort_keys=True),
             scenario_fingerprint,
         )
         if strategy_fp is not None:
@@ -1075,7 +878,7 @@ class SweepEngine:
         metadata = {
             "metric": sweep.metric_name,
             "parameters": " ".join(sorted(sweep.parameters)),
-            "backend": self.backend,
+            "backend": self.options.backend,
             "grid": digest,
         }
         if strategy_fp is not None:
@@ -1083,13 +886,7 @@ class SweepEngine:
         return metadata
 
     def _apply_cache(
-        self,
-        sweep,
-        tasks: List[_Task],
-        outcomes: Dict[int, _Outcome],
-        integrator,
-        settings,
-        seed=None,
+        self, sweep, tasks: List[_Task], outcomes: Dict[int, _Outcome]
     ):
         """Serve candidates from the result store; arm misses for writing.
 
@@ -1100,7 +897,7 @@ class SweepEngine:
         with a warning (and are dropped when writable), mirroring the
         single-run planner path.
         """
-        if self.cache == "off":
+        if self.options.cache == "off":
             return 0, tasks
         from ..api.experiment import metric_key_for, scenario_to_dict
         from ..cache import open_store
@@ -1113,14 +910,14 @@ class SweepEngine:
         metric_key = metric_key_for(sweep.metric)
         if metric_key is None:
             raise ConfigurationError(
-                f"cache={self.cache!r} needs a named metric — the custom "
+                f"cache={self.options.cache!r} needs a named metric — the custom "
                 f"metric {getattr(sweep.metric, '__name__', sweep.metric)!r} "
                 "has no canonical identity to key cache entries on; use a "
                 "stock metric (harvested_energy / average_power) or drop "
                 "the cache"
             )
-        store = open_store(cache_dir=self.cache_dir, store_url=self.store_url)
-        fingerprint = self._execution_fingerprint(integrator, settings, seed=seed)
+        store = open_store(cache_dir=self.options.cache_dir, store_url=self.options.store_url)
+        fingerprint = self.options.fingerprint()
         n_cache_hits = 0
         armed: List[_Task] = []
         for task in tasks:
@@ -1138,7 +935,7 @@ class SweepEngine:
                     warnings.warn(
                         f"ignoring corrupt cache entry: {exc}", stacklevel=2
                     )
-                    if self.cache == "readwrite":
+                    if self.options.cache == "readwrite":
                         try:
                             store.drop(key)
                         except OSError:
@@ -1154,12 +951,12 @@ class SweepEngine:
                     n_cache_hits += 1
                     armed.append(task)
                     continue
-            if self.cache == "readwrite":
-                if self.store_url is not None:
+            if self.options.cache == "readwrite":
+                if self.options.store_url is not None:
                     task = replace(
                         task,
                         cache_key=key,
-                        store_url=self.store_url,
+                        store_url=self.options.store_url,
                         cache_salt=store.salt,
                     )
                 else:
@@ -1172,9 +969,7 @@ class SweepEngine:
             armed.append(task)
         return n_cache_hits, armed
 
-    def _load_checkpoint_rows(
-        self, sweep, strategy, integrator, settings, seed
-    ) -> Dict[int, _Outcome]:
+    def _load_checkpoint_rows(self, sweep, strategy) -> Dict[int, _Outcome]:
         """Recorded outcomes of an existing checkpoint, by global index.
 
         A fresh header is written when no (valid) checkpoint exists.  A
@@ -1185,12 +980,10 @@ class SweepEngine:
         resumes every round it completed (a deterministic strategy
         re-proposes the same candidates in the same order).
         """
-        path = self.checkpoint_path
+        path = self.options.checkpoint_path
         if path is None:
             return {}
-        expected = self._checkpoint_metadata(
-            sweep, integrator, settings, strategy=strategy, seed=seed
-        )
+        expected = self._checkpoint_metadata(sweep, strategy)
         if not os.path.exists(path):
             write_checkpoint_header(path, _CHECKPOINT_FIELDS, expected)
             return {}

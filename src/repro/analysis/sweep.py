@@ -7,17 +7,18 @@ simulations".  This module provides that iterative loop: sweep one or more
 harvester parameters, simulate each candidate with the fast solver and
 rank the candidates by harvested energy or output power.
 
-Execution is delegated to the :class:`~repro.analysis.engine.SweepEngine`:
-``ParameterSweep.run()`` keeps its historical serial behaviour (and exact
-scores) by default, while ``run(n_workers=4)`` evaluates candidates in
-parallel worker processes with deterministic, serial-identical results and
-per-worker reuse of the one-time assembly structure.  ``checkpoint_path=``
-persists each finished candidate through :mod:`repro.io.csvio` so an
-interrupted sweep resumes instead of restarting, ``progress=`` streams
-best-so-far reporting (:func:`repro.io.report.format_sweep_progress`), and
-``relinearise_interval=`` opts into the engine's amortised-relinearisation
-solver profile (2-3x faster per candidate, documented 10 % relative score
-tolerance, typically a few percent).  See :mod:`repro.analysis.engine`.
+A :class:`ParameterSweep` is the sweep *definition* (base scenario, grid
+axes, metric); ``Study.scenario(base).options(RunOptions(...)).sweep(axes)``
+builds one and runs it through the :mod:`repro.api` planner and the
+:class:`~repro.analysis.engine.SweepEngine`.  The options decide how the
+candidates run: ``n_workers`` parallel worker processes with
+deterministic, serial-identical results and per-worker reuse of the
+one-time assembly structure, ``checkpoint_path`` resume through
+:mod:`repro.io.csvio`, ``progress`` best-so-far reporting
+(:func:`repro.io.report.format_sweep_progress`), and the
+``relinearise_interval`` amortised-relinearisation profile (2-3x faster
+per candidate, documented 10 % relative score tolerance, typically a few
+percent).  See :mod:`repro.analysis.engine`.
 
 Sweeps are **topology-aware**: the base scenario may be a spec-backed
 :class:`~repro.harvester.topologies.SpecScenario`, in which case grid axes
@@ -199,57 +200,6 @@ class ParameterSweep:
             config = self.apply(config, name, value)
         return replace(self.scenario, config=config)
 
-    def run(
-        self,
-        *,
-        n_workers: int = 1,
-        checkpoint_path=None,
-        progress=None,
-        relinearise_interval=None,
-        backend: str = "process",
-        lane_width=None,
-        integrator=None,
-        settings=None,
-    ) -> SweepResult:
-        """Simulate every candidate with the fast solver and rank them.
-
-        By default the candidates are evaluated serially, exactly as the
-        historical loop did.  ``n_workers > 1`` evaluates them in parallel
-        worker processes with identical scores and ordering;
-        ``backend="batched"`` marches same-topology controller-free
-        candidates in lock-step through stacked arrays
-        (:class:`~repro.core.batch.BatchedSolver`, ``lane_width`` lanes per
-        block);
-        ``checkpoint_path``/``progress``/``relinearise_interval`` reach
-        the sweep engine; ``integrator``/``settings`` are applied to every
-        candidate's simulation.
-
-        .. deprecated::
-            Use ``repro.Study.scenario(base).options(RunOptions(...))``
-            ``.sweep(axes).run()`` — this shim routes through the same
-            facade planner and returns the identical
-            :class:`SweepResult`.
-        """
-        from .._deprecation import warn_deprecated
-        from ..api.options import RunOptions
-        from ..api.planner import execute_sweep
-
-        warn_deprecated(
-            "ParameterSweep.run",
-            "Study.scenario(...).options(RunOptions(...)).sweep(...).run()",
-        )
-        options = RunOptions(
-            integrator=integrator,
-            settings=settings,
-            relinearise_interval=relinearise_interval,
-            backend=backend,
-            lane_width=lane_width,
-            n_workers=n_workers,
-            checkpoint_path=checkpoint_path,
-            progress=progress,
-        )
-        return execute_sweep(self, options).result
-
 
 def _default_apply(config: HarvesterConfig, name: str, value: float) -> HarvesterConfig:
     """Apply the handful of parameters the examples sweep by default."""
@@ -312,16 +262,18 @@ def sweep_excitation_frequency(
     Keyword arguments (``n_workers=``, ``checkpoint_path=``, ``progress=``,
     ``relinearise_interval=``, ``settings=``, ``integrator=``) become
     :class:`~repro.api.options.RunOptions` fields; execution routes
-    through the :mod:`repro.api` planner (no deprecation warning — this
-    convenience is maintained).
+    through the :mod:`repro.api` facade.
     """
-    from ..api.options import RunOptions
-    from ..api.planner import execute_sweep
+    from ..api import RunOptions, Study
 
-    sweep = ParameterSweep(
-        scenario,
-        {"excitation_frequency_hz": list(frequencies_hz)},
-        metric=metric,
-        metric_name=metric_name,
+    return (
+        Study.scenario(scenario)
+        .options(RunOptions(**run_kwargs))
+        .sweep(
+            {"excitation_frequency_hz": list(frequencies_hz)},
+            metric=metric,
+            metric_name=metric_name,
+        )
+        .run()
+        .result
     )
-    return execute_sweep(sweep, RunOptions(**run_kwargs)).result

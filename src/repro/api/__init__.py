@@ -21,14 +21,9 @@ another free-function entry point:
   data with JSON/TOML round-trip, a stable ``content_hash()`` feeding
   the result cache (:mod:`repro.cache`), and
   :meth:`Study.to_spec` / :meth:`Study.from_spec` interconversion.
-
-The historical entry points (``run_proposed``, ``ParameterSweep.run``,
-direct ``SweepEngine`` construction) remain available as thin
-deprecation shims over this facade and return byte-identical results
-(see DESIGN.md §4 for the shim contract).
 """
 
-from .options import BACKENDS, CACHE_MODES, RunOptions, execution_fingerprint
+from .options import BACKENDS, CACHE_MODES, RunOptions
 from .planner import SOLVERS, ExecutionPlan
 from .results import ComparisonResult, ExplorationResult, RunHandle, StudyResult
 from .study import Study
@@ -48,5 +43,4 @@ __all__ = [
     "BACKENDS",
     "SOLVERS",
     "CACHE_MODES",
-    "execution_fingerprint",
 ]

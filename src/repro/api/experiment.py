@@ -22,7 +22,7 @@ The fluent and declarative forms are interconvertible::
 
 ``content_hash()`` hashes the *resolved* canonical form — the scenario's
 full serialised state plus the result-affecting execution fingerprint
-(:func:`repro.api.options.execution_fingerprint`) — so a factory-form TOML
+(:meth:`repro.api.options.RunOptions.fingerprint`) — so a factory-form TOML
 (``scenario = {factory = "charging", duration_s = 0.2}``) and its inline
 equivalent hash identically, while knobs that cannot change results
 (worker counts, progress callbacks, cache mode itself) never invalidate

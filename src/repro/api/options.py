@@ -1,15 +1,12 @@
 """Consolidated execution options for the :mod:`repro.api` facade.
 
-Three PRs of organic growth scattered the execution knobs across
-``run_proposed(integrator=, settings=)``, ``ParameterSweep.run(n_workers=,
-checkpoint_path=, progress=, relinearise_interval=, backend=,
-lane_width=)`` and the :class:`~repro.analysis.engine.SweepEngine`
-constructor.  :class:`RunOptions` is the one typed place they all live
-now: every knob is validated eagerly at construction (incoherent
-combinations raise :class:`~repro.core.errors.ConfigurationError` naming
-the offending pair instead of being silently ignored), and the common
-configurations ship as named profiles — :meth:`RunOptions.exact`,
-:meth:`RunOptions.fast` and :meth:`RunOptions.batched`.
+:class:`RunOptions` is the one typed place every execution knob lives:
+every knob is validated eagerly at construction (incoherent combinations
+raise :class:`~repro.core.errors.ConfigurationError` naming the offending
+pair instead of being silently ignored), the sweep engine is built from
+one validated instance, and the common configurations ship as named
+profiles — :meth:`RunOptions.exact`, :meth:`RunOptions.fast` and
+:meth:`RunOptions.batched`.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ __all__ = [
     "CACHE_MODES",
     "COMPILED_MODES",
     "FINGERPRINT_EXEMPT",
-    "execution_fingerprint",
 ]
 
 #: execution backends understood by the dispatch planner
@@ -43,68 +39,6 @@ CACHE_MODES = ("off", "read", "readwrite")
 
 #: sweep progress callback: ``progress(done, total, best_point)``
 ProgressFn = Callable[[int, int, object], None]
-
-
-def execution_fingerprint(
-    *,
-    integrator: Optional[ExplicitIntegrator] = None,
-    settings: Optional[SolverSettings] = None,
-    relinearise_interval: Optional[int] = None,
-    backend: str = "process",
-    seed: Optional[int] = None,
-    compiled: str = "off",
-) -> Dict[str, object]:
-    """Canonical fingerprint of everything that can change a *result*.
-
-    This is the **one** options fingerprint in the codebase: the sweep
-    engine's checkpoint config-hash and the result cache's keys are both
-    derived from it, so a checkpoint resume and a cache hit agree on what
-    "the same execution" means.  Deliberately excluded: knobs that change
-    *how fast* or *where* candidates run but not their scores
-    (``n_workers``, ``lane_width``, checkpointing, progress, cache mode) —
-    the engine's determinism contract (and the documented 10 % adaptive
-    shared-step tolerance for the batched backend, which *is* included via
-    ``backend``) covers those.  ``seed`` *is* included: a seeded
-    exploration samples a different candidate set per seed, so its results
-    must never collide with another seed's in the cache.
-
-    ``compiled`` is recorded only where it can change results: at fixed
-    step every march-kernel backend is byte-identical to the scalar
-    solver (so all modes share one fingerprint, ``"off"``), while
-    adaptive batched runs fall under the same documented 10 % tolerance
-    as the batched backend itself and fingerprint the requested mode
-    (``"off"`` — an alias for ``"numpy"`` — keeps its historical
-    fingerprint so existing caches and checkpoints still hit).
-    """
-    if integrator is None:
-        integrator_form = None
-    else:
-        integrator_form = {
-            "name": str(integrator.name),
-            "order": getattr(integrator, "order", None),
-        }
-    adaptive = settings is None or settings.fixed_step is None
-    compiled_form = (
-        str(compiled)
-        if compiled != "off" and backend == "batched" and adaptive
-        else "off"
-    )
-    # the queue backend distributes the *same* scalar candidate path the
-    # process backend runs (workers call the identical _evaluate_task),
-    # so both map to one fingerprint: queue sweeps and process sweeps
-    # share cache entries, which is what makes their scores provably equal
-    backend_form = "process" if backend == "queue" else str(backend)
-    return {
-        "integrator": integrator_form,
-        "settings": None if settings is None else encode_value(settings),
-        "relinearise_interval": (
-            None if relinearise_interval is None else int(relinearise_interval)
-        ),
-        "backend": backend_form,
-        "seed": None if seed is None else int(seed),
-        "compiled": compiled_form,
-    }
-
 
 #: RunOptions fields deliberately excluded from the execution fingerprint,
 #: each with the one-line reason it can never change a per-candidate
@@ -185,8 +119,8 @@ class RunOptions:
         fall under the batched backend's documented 10 % tolerance.
         Only valid with ``backend="batched"``.
     n_workers:
-        Worker processes for sweep execution.  ``1`` evaluates inline,
-        byte-identical to the historical serial loop; ``None`` uses
+        Worker processes for sweep execution.  ``1`` evaluates inline;
+        scores are byte-identical for any worker count.  ``None`` uses
         ``os.cpu_count()``.
     checkpoint_path:
         Sweep checkpoint/resume CSV (:mod:`repro.io.csvio`).
@@ -224,7 +158,7 @@ class RunOptions:
         Queue-backend lease duration in seconds: how long a worker may
         go without heartbeating before its candidate is reclaimed and
         handed to another worker.  Only valid with ``backend="queue"``
-        (default 30 s).
+        (``None`` keeps the queue executor's default of 30 s).
     store_traces:
         Whether cached single-run entries include the full waveform traces
         (on by default; scores/stats are always stored).  A run served
@@ -278,8 +212,7 @@ class RunOptions:
     def exact(cls, **overrides) -> "RunOptions":
         """The paper-exact profile: relinearise every step (the default).
 
-        Results are byte-identical to the historical serial entry points
-        for any worker count.
+        Results are byte-identical for any worker count.
         """
         return cls(**overrides)
 
@@ -661,15 +594,58 @@ class RunOptions:
         return cls(**kwargs)
 
     def fingerprint(self) -> Dict[str, object]:
-        """This options object's :func:`execution_fingerprint`."""
-        return execution_fingerprint(
-            integrator=self.integrator,
-            settings=self.settings,
-            relinearise_interval=self.relinearise_interval,
-            backend=self.backend,
-            seed=self.seed,
-            compiled=self.compiled,
+        """Canonical fingerprint of everything that can change a *result*.
+
+        This is the **one** options fingerprint in the codebase: the sweep
+        engine's checkpoint config-hash and the result cache's keys are
+        both derived from it, so a checkpoint resume and a cache hit agree
+        on what "the same execution" means.  Deliberately excluded: knobs
+        that change *how fast* or *where* candidates run but not their
+        scores (:data:`FINGERPRINT_EXEMPT` lists each with its reason) —
+        the engine's determinism contract (and the documented 10 %
+        adaptive shared-step tolerance for the batched backend, which *is*
+        included via ``backend``) covers those.  ``seed`` *is* included: a
+        seeded exploration samples a different candidate set per seed, so
+        its results must never collide with another seed's in the cache.
+
+        ``compiled`` is recorded only where it can change results: at
+        fixed step every march-kernel backend is byte-identical to the
+        scalar solver (so all modes share one fingerprint, ``"off"``),
+        while adaptive batched runs fall under the same documented 10 %
+        tolerance as the batched backend itself and fingerprint the
+        requested mode (``"off"`` — an alias for ``"numpy"`` — keeps its
+        historical fingerprint so existing caches and checkpoints still
+        hit).
+        """
+        integrator = self.integrator
+        if integrator is None:
+            integrator_form = None
+        else:
+            integrator_form = {
+                "name": str(integrator.name),
+                "order": getattr(integrator, "order", None),
+            }
+        settings = self.settings
+        adaptive = settings is None or settings.fixed_step is None
+        compiled_form = (
+            str(self.compiled)
+            if self.compiled != "off" and self.backend == "batched" and adaptive
+            else "off"
         )
+        # the queue backend distributes the *same* scalar candidate path the
+        # process backend runs (workers call the identical _evaluate_task),
+        # so both map to one fingerprint: queue sweeps and process sweeps
+        # share cache entries, which is what makes their scores provably equal
+        backend_form = "process" if self.backend == "queue" else str(self.backend)
+        interval = self.relinearise_interval
+        return {
+            "integrator": integrator_form,
+            "settings": None if settings is None else encode_value(settings),
+            "relinearise_interval": None if interval is None else int(interval),
+            "backend": backend_form,
+            "seed": None if self.seed is None else int(self.seed),
+            "compiled": compiled_form,
+        }
 
     # ------------------------------------------------------------------ #
     # convenience

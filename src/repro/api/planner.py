@@ -16,11 +16,7 @@ batched backends — goes through the same two steps:
    :class:`~repro.api.results.ComparisonResult` or
    :class:`~repro.api.results.StudyResult`).
 
-The legacy entry points (``run_proposed``, ``ParameterSweep.run`` ...)
-are thin deprecation shims that build the same plans, which is what makes
-their results byte-identical to the facade path.  Future execution
-targets (async service, result caching, multi-node sharding) plug in
-here, not at the call sites.
+New execution targets plug in here, not at the call sites.
 """
 
 from __future__ import annotations
@@ -380,37 +376,15 @@ def _reject_proposed_only_options(options: RunOptions, solver: str) -> None:
 
 
 def execute_sweep(sweep, options: RunOptions) -> StudyResult:
-    """A candidate grid through the sweep engine (no deprecation warning).
+    """A candidate grid through the sweep engine.
 
-    This is the one place a :class:`~repro.analysis.engine.SweepEngine`
-    is constructed on behalf of the facade; both ``Study.sweep(...).run()``
-    and the legacy ``ParameterSweep.run`` shim land here, which is what
-    keeps their results byte-identical.
+    This and :func:`execute_explore` are the only places a
+    :class:`~repro.analysis.engine.SweepEngine` is constructed; the
+    engine takes the validated options as they are.
     """
     from ..analysis.engine import SweepEngine
 
-    # guard the direct entry path (the ParameterSweep.run shim); the
-    # facade path already checked this at plan time
-    options.validate_for_sweep()
-    engine = SweepEngine(
-        options.n_workers,
-        checkpoint_path=options.checkpoint_path,
-        progress=options.progress,
-        relinearise_interval=options.relinearise_interval,
-        reuse_assembly=options.reuse_assembly,
-        backend=options.backend,
-        lane_width=options.lane_width,
-        compiled=options.compiled,
-        cache=options.cache,
-        cache_dir=options.cache_dir,
-        store_url=options.store_url,
-        lease_timeout_s=options.lease_timeout_s,
-        _facade=True,
-    )
-    sweep_result = engine.run(
-        sweep, integrator=options.integrator, settings=options.settings
-    )
-    return StudyResult(sweep_result)
+    return StudyResult(SweepEngine(options).run(sweep))
 
 
 def _build_strategy(sweep, options: RunOptions):
@@ -444,28 +418,5 @@ def execute_explore(sweep, options: RunOptions) -> ExplorationResult:
     """
     from ..analysis.engine import SweepEngine
 
-    options.validate_for_sweep()
     strategy = _build_strategy(sweep, options)
-    engine = SweepEngine(
-        options.n_workers,
-        checkpoint_path=options.checkpoint_path,
-        progress=options.progress,
-        relinearise_interval=options.relinearise_interval,
-        reuse_assembly=options.reuse_assembly,
-        backend=options.backend,
-        lane_width=options.lane_width,
-        compiled=options.compiled,
-        cache=options.cache,
-        cache_dir=options.cache_dir,
-        store_url=options.store_url,
-        lease_timeout_s=options.lease_timeout_s,
-        _facade=True,
-    )
-    run = engine.run_explore(
-        sweep,
-        strategy,
-        integrator=options.integrator,
-        settings=options.settings,
-        seed=options.seed,
-    )
-    return ExplorationResult(run)
+    return ExplorationResult(SweepEngine(options).run_explore(sweep, strategy))

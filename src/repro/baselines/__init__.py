@@ -13,9 +13,7 @@
 Callers select these by family name through the :mod:`repro.api` facade
 — ``Study.scenario(...).solver("baseline").run()`` /
 ``.solver("reference")`` / ``.compare("proposed", "baseline")`` — whose
-execution planner dispatches onto the scenario runners.  The legacy free
-functions (:func:`repro.harvester.scenarios.run_baseline` /
-``run_reference``) are deprecation shims over that path.
+execution planner dispatches onto the scenario runners.
 """
 
 from .implicit_solver import ImplicitNewtonSolver, ImplicitSolverSettings

@@ -7,7 +7,7 @@ The flow is deliberately simple and crash-safe:
 1. every pending candidate becomes a **task payload** — its serialised
    scenario, metric key, declarative execution options and code-version
    salt — whose id *is* the candidate's content-addressed cache key
-   (``execution_fingerprint`` + candidate content, hashed with the
+   (``RunOptions.fingerprint()`` + candidate content, hashed with the
    salt), so enqueueing is idempotent and two parents sweeping the same
    grid share one queue entry per candidate;
 2. the parent **polls the shared store** for the result keys.  Workers

@@ -11,9 +11,8 @@ per-candidate result cache — composes with every strategy unchanged.
 
 Shipped strategies (``RunOptions(explore=...)`` names):
 
-* ``"grid"`` — the legacy dense cartesian sweep, byte-identical to the
-  historical ``ParameterSweep`` path (the refactor's equivalence
-  contract);
+* ``"grid"`` — the dense cartesian sweep, byte-identical to a sweep run
+  without ``explore`` (the refactor's equivalence contract);
 * ``"extend"`` — the same dense enumeration over a *superset* grid, with
   previously swept points served from the content-addressed cache
   (requires ``cache != "off"``);

@@ -7,7 +7,7 @@ contract: the ``seed`` is required, all randomness flows through one
 process-independent), and the chosen candidates are emitted in canonical
 grid-enumeration order — so a re-run, a worker process and a checkpoint
 resume all agree on the candidate list, and the seed folded into the
-execution fingerprint (:func:`repro.api.options.execution_fingerprint`)
+execution fingerprint (:meth:`repro.api.options.RunOptions.fingerprint`)
 makes cached sampled runs reproducible by construction.
 """
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
-from .._deprecation import warn_deprecated
 from ..blocks.microcontroller import ControllerSettings
 from ..blocks.vibration import FrequencyStep, VibrationSource
 from ..core.elimination import AssemblyStructure
@@ -42,9 +41,6 @@ __all__ = [
     "prepare_assembly",
     "scenario_solver_settings",
     "attach_run_metadata",
-    "run_proposed",
-    "run_baseline",
-    "run_reference",
 ]
 
 
@@ -325,9 +321,9 @@ def scenario_solver_settings(scenario: Scenario) -> SolverSettings:
 
     The step limit resolves the highest excitation frequency the scenario
     ever reaches (including scheduled frequency steps).  This is the
-    default :func:`run_proposed` applies when no settings are given; it is
-    exposed so sweep engines can reproduce the per-candidate default and
-    then layer solver-profile overrides on top.
+    default a proposed-solver run applies when no settings are given; it
+    is exposed so sweep engines can reproduce the per-candidate default
+    and then layer solver-profile overrides on top.
     """
     own = getattr(scenario, "solver_settings", None)
     if callable(own):  # spec-backed scenarios derive settings from the spec
@@ -344,9 +340,9 @@ def prepare_assembly(scenario: Scenario) -> AssemblyStructure:
 
     Builds a throwaway harvester and captures the
     :class:`~repro.core.elimination.AssemblyStructure`, which can then be
-    passed to :func:`run_proposed` (or ``Scenario.build_harvester``) for
-    every candidate that shares the topology, cloning the prepared
-    assembly instead of rebuilding it.
+    passed as ``RunOptions(assembly_structure=...)`` (or to
+    ``Scenario.build_harvester``) for every candidate that shares the
+    topology, cloning the prepared assembly instead of rebuilding it.
     """
     return scenario.build_harvester().assembly_structure
 
@@ -380,8 +376,8 @@ def _simulate_proposed(
 ) -> SimulationResult:
     """Execution primitive: one scenario on the proposed solver.
 
-    Canonical implementation behind the :mod:`repro.api` planner, the
-    sweep engine's scalar path and the :func:`run_proposed` shim.
+    Canonical implementation behind the :mod:`repro.api` planner and the
+    sweep engine's scalar path.
     """
     harvester = scenario.build_harvester(assembly_structure=assembly_structure)
     if settings is None:
@@ -411,65 +407,3 @@ def _simulate_reference(scenario: Scenario, settings=None) -> SimulationResult:
     harvester._wire(solver)
     result = solver.run(scenario.duration_s)
     return attach_run_metadata(result, scenario, harvester)
-
-
-# ---------------------------------------------------------------------- #
-# deprecated entry points (thin shims over the repro.api facade)
-# ---------------------------------------------------------------------- #
-def run_proposed(
-    scenario: Scenario,
-    integrator: Optional[ExplicitIntegrator] = None,
-    settings: Optional[SolverSettings] = None,
-    *,
-    assembly_structure: Optional[AssemblyStructure] = None,
-) -> SimulationResult:
-    """Simulate a scenario with the proposed linearised state-space solver.
-
-    Accepts both the paper's :class:`Scenario` and spec-backed
-    :class:`~repro.harvester.topologies.SpecScenario` instances — anything
-    providing ``build_harvester``/``duration_s``/``name``.
-
-    .. deprecated::
-        Use ``repro.Study.scenario(scenario).run()`` — this shim routes
-        through the facade and returns the identical
-        :class:`SimulationResult`.
-    """
-    warn_deprecated("run_proposed", "Study.scenario(...).run()")
-    from ..api import RunOptions, Study
-
-    options = RunOptions(
-        integrator=integrator,
-        settings=settings,
-        assembly_structure=assembly_structure,
-    )
-    return Study.scenario(scenario).options(options).run().result
-
-
-def run_baseline(scenario: Scenario, **solver_kwargs) -> SimulationResult:
-    """Simulate a scenario with the Newton-Raphson implicit baseline.
-
-    .. deprecated::
-        Use ``repro.Study.scenario(scenario).solver("baseline", ...).run()``.
-    """
-    warn_deprecated(
-        "run_baseline", 'Study.scenario(...).solver("baseline", ...).run()'
-    )
-    from ..api import Study
-
-    return Study.scenario(scenario).solver("baseline", **solver_kwargs).run().result
-
-
-def run_reference(scenario: Scenario, settings=None) -> SimulationResult:
-    """Simulate a scenario with the scipy reference solver (measurement stand-in).
-
-    .. deprecated::
-        Use ``repro.Study.scenario(scenario).solver("reference", ...).run()``.
-    """
-    warn_deprecated(
-        "run_reference", 'Study.scenario(...).solver("reference", ...).run()'
-    )
-    from ..api import Study
-
-    return (
-        Study.scenario(scenario).solver("reference", settings=settings).run().result
-    )

@@ -14,9 +14,8 @@ Three public layers:
 * spec factories — :func:`piezoelectric_spec`, :func:`electrostatic_spec`
   (and :func:`electromagnetic_spec` for symmetric comparisons);
 * :class:`SpecScenario` — the spec-backed counterpart of
-  :class:`repro.harvester.scenarios.Scenario`; the scenario runners
-  (:func:`~repro.harvester.scenarios.run_proposed` ...) and the
-  :class:`~repro.analysis.engine.SweepEngine` accept either;
+  :class:`repro.harvester.scenarios.Scenario`; ``Study.scenario(...)``
+  and its sweeps accept either;
 * :func:`generator_variants` — interchangeable generator
   :class:`~repro.core.spec.BlockSpec` values for a *topology axis* in a
   sweep grid (the engine reuses one assembly structure per distinct
@@ -339,7 +338,8 @@ class SpecScenario:
     The spec-backed sibling of :class:`repro.harvester.scenarios.Scenario`:
     it satisfies the same duck type the scenario runners and the sweep
     engine consume (``build_harvester`` / ``duration_s`` / ``name``), so
-    ``run_proposed(SpecScenario(...))`` and topology sweeps just work.
+    ``Study.scenario(SpecScenario(...)).run()`` and topology sweeps just
+    work.
     """
 
     name: str

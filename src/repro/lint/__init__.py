@@ -11,8 +11,8 @@ drifting (DESIGN.md §8):
   forms round-trip and registry entries declare their terminals;
 * ``kernel-purity`` — njit-compiled kernels stay free of object-mode
   hazards, nondeterminism and closures over non-numeric state;
-* ``facade`` — no engine construction or deprecated entry-point imports
-  outside :mod:`repro.api`, and ``__all__`` stays accurate everywhere.
+* ``facade`` — no engine construction outside :mod:`repro.api`, and
+  ``__all__`` stays accurate everywhere.
 
 Programmatic entry point::
 

@@ -1,19 +1,13 @@
 """Rule family ``facade`` — the public surface stays the only surface.
 
 DESIGN.md §4's contract is that every caller routes through
-:mod:`repro.api` while the historical entry points survive only as
-warn-once shims.  That discipline is invisible to the test suite (the
-shims *work*), so it erodes silently; these checks keep it honest:
+:mod:`repro.api`.  That discipline is invisible to the test suite (a
+bypass *works*), so it erodes silently; these checks keep it honest:
 
 * ``facade.engine-bypass`` — no direct ``SweepEngine(...)`` construction
-  outside the api layer, the engine's own module or the deprecation
-  machinery (the facade constructs it with ``_facade=True``; anything
-  else re-opens the pre-PR-4 free-for-all);
-* ``facade.deprecated-import`` — the legacy entry points
-  (``run_proposed`` / ``run_baseline`` / ``run_reference`` /
-  ``ParameterSweep``) may only be imported by their defining modules,
-  package ``__init__`` re-export shims, the api layer and the
-  deprecation helper;
+  outside the api layer or the engine's own module (the planner builds
+  the engine from one validated ``RunOptions``; anything else skips
+  that validation);
 * ``facade.all-missing`` — every public module defines ``__all__`` (the
   explicit export list is what the api-surface tests and this checker
   introspect);
@@ -37,37 +31,14 @@ from .base import (
     string_elements,
 )
 
-__all__ = [
-    "FacadeRule",
-    "DEPRECATED_ENTRY_POINTS",
-    "ENGINE_BYPASS_ALLOWED",
-]
+__all__ = ["FacadeRule", "ENGINE_BYPASS_ALLOWED"]
 
-#: legacy entry points that exist only as deprecation shims
-DEPRECATED_ENTRY_POINTS = frozenset(
-    {"run_proposed", "run_baseline", "run_reference", "ParameterSweep"}
-)
-
-#: modules that legitimately define or re-export the legacy entry points
-_DEPRECATED_IMPORT_ALLOWED = (
-    "harvester/scenarios.py",  # defines the run_* shims
-    "analysis/sweep.py",  # defines ParameterSweep
-    "_deprecation.py",
-)
-
-#: locations that may construct SweepEngine directly
-ENGINE_BYPASS_ALLOWED = (
-    "analysis/engine.py",  # the class's own module
-    "_deprecation.py",
-)
+#: locations outside the api layer that may construct SweepEngine directly
+ENGINE_BYPASS_ALLOWED = ("analysis/engine.py",)  # the class's own module
 
 
 def _in_api_layer(rel: str) -> bool:
     return rel.startswith("api/") or rel == "api.py"
-
-
-def _is_reexport_module(sf: SourceFile) -> bool:
-    return sf.name == "__init__.py"
 
 
 class FacadeRule(LintRule):
@@ -75,8 +46,8 @@ class FacadeRule(LintRule):
 
     family = "facade"
     description = (
-        "no SweepEngine construction or legacy entry-point imports outside "
-        "the facade; every public module declares a resolvable __all__"
+        "no SweepEngine construction outside the facade; every public "
+        "module declares a resolvable __all__"
     )
 
     def run(self, project: Project) -> Iterator[Finding]:
@@ -84,11 +55,10 @@ class FacadeRule(LintRule):
             if sf.tree is None:
                 continue
             yield from self._check_engine_bypass(sf)
-            yield from self._check_deprecated_imports(sf)
             yield from self._check_all(sf)
 
     # ------------------------------------------------------------------ #
-    # bypasses
+    # bypass
     # ------------------------------------------------------------------ #
     def _check_engine_bypass(self, sf: SourceFile) -> Iterator[Finding]:
         if _in_api_layer(sf.rel) or sf.rel in ENGINE_BYPASS_ALLOWED:
@@ -109,30 +79,9 @@ class FacadeRule(LintRule):
                     node.lineno,
                     "direct SweepEngine(...) construction outside repro.api "
                     "— route through Study/RunOptions (the planner builds "
-                    "the engine with the facade contract applied); direct "
-                    "use skips option validation and fingerprinting",
+                    "the engine from one validated RunOptions); direct use "
+                    "skips option validation",
                 )
-
-    def _check_deprecated_imports(self, sf: SourceFile) -> Iterator[Finding]:
-        if (
-            _in_api_layer(sf.rel)
-            or _is_reexport_module(sf)
-            or sf.rel in _DEPRECATED_IMPORT_ALLOWED
-        ):
-            return
-        for node in ast.walk(sf.tree):
-            if not isinstance(node, ast.ImportFrom):
-                continue
-            for alias in node.names:
-                if alias.name in DEPRECATED_ENTRY_POINTS:
-                    yield self.finding(
-                        "deprecated-import",
-                        sf,
-                        node.lineno,
-                        f"import of deprecated entry point {alias.name!r} "
-                        "outside the legacy re-export surface — new code "
-                        "must route through repro.api (Study/RunOptions)",
-                    )
 
     # ------------------------------------------------------------------ #
     # __all__ consistency

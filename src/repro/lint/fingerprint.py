@@ -1,11 +1,11 @@
 """Rule family ``fingerprint`` — execution-fingerprint coverage.
 
 The cache and checkpoint layers derive "is this the same execution?"
-from :func:`repro.api.options.execution_fingerprint`, fed by the
-``self.<field>`` reads in :meth:`RunOptions.fingerprint`.  A
-result-changing knob that never reaches the fingerprint silently serves
-stale cache entries — the exact class of bug PR 7/8 had to rule out by
-hand for ``compiled`` and ``refresh``.  This rule makes the contract
+from :meth:`repro.api.options.RunOptions.fingerprint`, i.e. from the
+``self.<field>`` reads in that method.  A result-changing knob that
+never reaches the fingerprint silently serves stale cache entries — the
+exact class of bug the lane-core knobs ``compiled`` and ``refresh`` once
+had to rule out by hand.  This rule makes the contract
 machine-checked:
 
 * every ``RunOptions`` dataclass field must either be read by the
@@ -112,7 +112,7 @@ class FingerprintCoverageRule(LintRule):
 
     family = "fingerprint"
     description = (
-        "every RunOptions field must be consumed by execution_fingerprint() "
+        "every RunOptions field must be read by RunOptions.fingerprint() "
         "or listed in FINGERPRINT_EXEMPT with a justification"
     )
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.analysis.engine import SweepEngine, _topology_key
+from repro import RunOptions, Study
+from repro.analysis.engine import _topology_key
 from repro.analysis.sweep import (
     ParameterSweep,
     average_power_metric,
@@ -17,26 +18,32 @@ from repro.harvester.topologies import generator_variants, piezoelectric_scenari
 DUR = 0.03  # simulated seconds per candidate — keeps the suite fast
 
 
-def _spec_sweep(grid, duration_s=DUR, **kwargs):
-    return ParameterSweep(
-        piezoelectric_scenario(duration_s=duration_s, excitation_frequency_hz=70.0),
-        grid,
-        metric=average_power_metric,
-        metric_name="average_power_W",
-        **kwargs,
+def _base(duration_s=DUR):
+    return piezoelectric_scenario(duration_s=duration_s, excitation_frequency_hz=70.0)
+
+
+def _spec_sweep(grid):
+    return ParameterSweep(_base(), grid)
+
+
+def _spec_study(grid, **options):
+    return (
+        Study.scenario(_base())
+        .options(RunOptions(**options))
+        .sweep(grid, metric=average_power_metric, metric_name="average_power_W")
     )
 
 
 class TestSpecAxes:
     def test_excitation_axis(self):
-        result = _spec_sweep({"excitation_frequency_hz": [60.0, 70.0]}).run()
+        result = _spec_study({"excitation_frequency_hz": [60.0, 70.0]}).run()
         assert len(result.points) == 2
         assert all(np.isfinite(p.score) for p in result.points)
         # on-resonance beats off-resonance
         assert result.best().parameters["excitation_frequency_hz"] == 70.0
 
     def test_dotted_block_param_axis(self):
-        result = _spec_sweep(
+        result = _spec_study(
             {"generator.series_resistance_ohm": [4.7e3, 15e3]}
         ).run()
         assert len(result.points) == 2
@@ -44,21 +51,20 @@ class TestSpecAxes:
         assert scores[0] != scores[1]
 
     def test_unknown_spec_axis_rejected(self):
-        sweep = _spec_sweep({"flux_capacitance": [1.0]})
+        study = _spec_study({"flux_capacitance": [1.0]})
         with pytest.raises(ConfigurationError, match="flux_capacitance"):
-            sweep.run()
+            study.run()
 
     def test_dotted_axis_with_unknown_block_rejected(self):
-        sweep = _spec_sweep({"rectifier.series_resistance_ohm": [1.0]})
+        study = _spec_study({"rectifier.series_resistance_ohm": [1.0]})
         with pytest.raises(ConfigurationError, match="rectifier"):
-            sweep.run()
+            study.run()
 
 
 class TestTopologyAxis:
     def test_generator_axis_sweeps_three_topologies(self):
         variants = generator_variants(70.0)
-        sweep = _spec_sweep({"generator": list(variants.values())})
-        result = sweep.run()
+        result = _spec_study({"generator": list(variants.values())}).run()
         assert len(result.points) == 3
         assert all(np.isfinite(p.score) and p.score > 0 for p in result.points)
         keys = [p.parameters["generator"].key for p in result.points]
@@ -72,9 +78,9 @@ class TestTopologyAxis:
 
     def test_parallel_matches_serial(self):
         variants = generator_variants(70.0)
-        sweep = _spec_sweep({"generator": list(variants.values())})
-        serial = sweep.run()
-        parallel = sweep.run(n_workers=2)
+        grid = {"generator": list(variants.values())}
+        serial = _spec_study(grid).run()
+        parallel = _spec_study(grid, n_workers=2).run()
         assert [p.score for p in serial.points] == [p.score for p in parallel.points]
         assert serial.best().parameters["generator"].key == (
             parallel.best().parameters["generator"].key
@@ -82,11 +88,9 @@ class TestTopologyAxis:
 
     def test_reuse_off_matches_reuse_on(self):
         variants = generator_variants(70.0)
-        sweep = _spec_sweep(
-            {"generator": [variants["electromagnetic"], variants["piezoelectric"]]}
-        )
-        with_reuse = SweepEngine(1, reuse_assembly=True).run(sweep)
-        without = SweepEngine(1, reuse_assembly=False).run(sweep)
+        grid = {"generator": [variants["electromagnetic"], variants["piezoelectric"]]}
+        with_reuse = _spec_study(grid, reuse_assembly=True).run()
+        without = _spec_study(grid, reuse_assembly=False).run()
         assert [p.score for p in with_reuse.points] == [
             p.score for p in without.points
         ]
@@ -108,8 +112,8 @@ class TestTopologyAxis:
         variants = generator_variants(70.0)
         grid = {"generator": [variants["electromagnetic"], variants["piezoelectric"]]}
         path = str(tmp_path / "topo.csv")
-        first = _spec_sweep(grid).run(checkpoint_path=path)
-        resumed = _spec_sweep(grid).run(checkpoint_path=path)
+        first = _spec_study(grid, checkpoint_path=path).run()
+        resumed = _spec_study(grid, checkpoint_path=path).run()
         assert resumed.engine_info.n_resumed == 2
         assert resumed.engine_info.n_evaluated == 0
         assert [p.score for p in first.points] == [p.score for p in resumed.points]
@@ -156,13 +160,11 @@ class TestFormatting:
 
         variants = generator_variants(70.0)
         lines = []
-        sweep = _spec_sweep(
-            {"generator": [variants["electromagnetic"], variants["piezoelectric"]]}
-        )
-        sweep.run(
+        _spec_study(
+            {"generator": [variants["electromagnetic"], variants["piezoelectric"]]},
             progress=lambda done, total, best: lines.append(
                 format_sweep_progress(done, total, best.score, best.parameters)
-            )
-        )
+            ),
+        ).run()
         assert len(lines) == 2
         assert "generator=" in lines[-1]

@@ -45,7 +45,6 @@ EXPECTED_ALL = [
     # analysis / sweeps
     "EngineRunInfo",
     "ParameterSweep",
-    "SweepEngine",
     "SweepPoint",
     "SweepResult",
     "sweep_excitation_frequency",
@@ -64,9 +63,6 @@ EXPECTED_ALL = [
     "piezoelectric_scenario",
     "piezoelectric_spec",
     "prepare_assembly",
-    "run_baseline",
-    "run_proposed",
-    "run_reference",
     "scenario_1",
     "scenario_2",
     "__version__",
@@ -80,6 +76,19 @@ def test_top_level_all_is_pinned():
 def test_every_exported_name_resolves():
     for name in repro.__all__:
         assert hasattr(repro, name), f"repro.__all__ lists missing name {name!r}"
+
+
+def test_sweep_engine_is_internal():
+    import repro.analysis
+
+    # a ParameterSweep is a definition; Study runs it
+    assert not hasattr(repro.analysis.sweep.ParameterSweep, "run")
+    # the engine is internal: importable from its module only
+    assert "SweepEngine" not in repro.analysis.__all__
+    assert not hasattr(repro, "SweepEngine")
+    from repro.analysis.engine import SweepEngine
+
+    assert SweepEngine.__module__ == "repro.analysis.engine"
 
 
 def test_previously_unreachable_result_types_are_exported():
@@ -107,7 +116,6 @@ def test_api_package_surface():
         "BACKENDS",
         "SOLVERS",
         "CACHE_MODES",
-        "execution_fingerprint",
     ]
     for name in repro.api.__all__:
         assert hasattr(repro.api, name)

@@ -11,9 +11,13 @@ from repro import (
 )
 from repro.api import ComparisonResult, ExecutionPlan, RunHandle, StudyResult
 from repro.api.planner import execute_sweep
-from repro.baselines import ImplicitSolverSettings
+from repro.baselines import ImplicitSolverSettings, ReferenceSolverSettings
 from repro.core.errors import ConfigurationError
-from repro.harvester.scenarios import _simulate_proposed
+from repro.harvester.scenarios import (
+    _simulate_baseline,
+    _simulate_proposed,
+    _simulate_reference,
+)
 
 DURATION_S = 0.03
 GRID = {"excitation_frequency_hz": [68.0, 70.0]}
@@ -31,6 +35,24 @@ class TestSingleRun:
         assert np.array_equal(
             handle["storage_voltage"].values, direct["storage_voltage"].values
         )
+
+    def test_baseline_run_matches_the_primitive(self):
+        settings = ImplicitSolverSettings(step_size=5e-4, record_interval=1e-3)
+        handle = Study.scenario(scenario()).solver("baseline", settings=settings).run()
+        direct = _simulate_baseline(scenario(), settings=settings)
+        for name in direct.trace_names():
+            assert np.array_equal(handle[name].times, direct[name].times)
+            assert np.array_equal(handle[name].values, direct[name].values)
+
+    def test_reference_run_matches_the_primitive(self):
+        settings = ReferenceSolverSettings(record_interval=2e-3)
+        handle = (
+            Study.scenario(scenario()).solver("reference", settings=settings).run()
+        )
+        direct = _simulate_reference(scenario(), settings=settings)
+        for name in direct.trace_names():
+            assert np.array_equal(handle[name].times, direct[name].times)
+            assert np.array_equal(handle[name].values, direct[name].values)
 
     def test_handle_access_and_summary(self):
         handle = Study.scenario(scenario()).run()

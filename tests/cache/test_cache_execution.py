@@ -168,26 +168,44 @@ def test_sweep_cache_keys_differ_across_backends(tmp_path):
 
 
 def test_sweep_cache_and_checkpoint_share_one_fingerprint(tmp_path):
-    """The satellite bugfix: one canonical options-fingerprint helper."""
+    """One canonical options fingerprint feeds cache keys and checkpoints."""
     from repro.analysis.engine import SweepEngine
-    from repro.api.options import execution_fingerprint
+    from repro.api.experiment import metric_key_for, scenario_to_dict
 
-    engine = SweepEngine(
-        relinearise_interval=3, backend="batched", _facade=True
+    options = RunOptions.batched(
+        relinearise_interval=3, cache="readwrite", cache_dir=str(tmp_path)
     )
-    fingerprint = engine._execution_fingerprint(None, None)
-    assert fingerprint == execution_fingerprint(
-        relinearise_interval=3, backend="batched"
-    )
-    assert fingerprint == RunOptions.batched(
-        relinearise_interval=3
-    ).fingerprint()
+    assert options.fingerprint() == {
+        "integrator": None,
+        "settings": None,
+        "relinearise_interval": 3,
+        "backend": "batched",
+        "seed": None,
+        "compiled": "off",
+    }
+
+    # every sweep-point key is derived from that fingerprint
+    study = sweep_study(options)
+    sweep = study.plan().sweep
+    study.run()
+    store = ResultStore(tmp_path)
+    expected = {
+        store.key_for(
+            {
+                "kind": "sweep_point",
+                "scenario": scenario_to_dict(sweep.candidate_scenario(candidate)),
+                "execution": options.fingerprint(),
+                "metric": metric_key_for(sweep.metric),
+            }
+        )
+        for candidate in sweep.candidates()
+    }
+    assert {key for key, _ in store.entries()} == expected
 
     # and the checkpoint grid hash moves with the shared fingerprint
-    sweep = sweep_study(RunOptions()).plan().sweep
-    exact = SweepEngine(_facade=True)._checkpoint_metadata(sweep, None, None)
-    held = SweepEngine(relinearise_interval=3, _facade=True)._checkpoint_metadata(
-        sweep, None, None
+    exact = SweepEngine(RunOptions())._checkpoint_metadata(sweep)
+    held = SweepEngine(RunOptions(relinearise_interval=3))._checkpoint_metadata(
+        sweep
     )
     assert exact["grid"] != held["grid"]
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro import RunOptions, Study
 from repro.core.batch import BatchedSolver
 from repro.core.errors import (
     ConfigurationError,
@@ -14,10 +15,16 @@ from repro.core.errors import (
 from repro.harvester.scenarios import (
     charging_scenario,
     prepare_assembly,
-    run_proposed,
     scenario_solver_settings,
 )
 from repro.harvester.topologies import piezoelectric_scenario
+
+
+def proposed_run(scenario, settings):
+    """One scenario on the scalar proposed solver, through the facade."""
+    return (
+        Study.scenario(scenario).options(RunOptions(settings=settings)).run().result
+    )
 
 
 def _lane_scenarios(duration_s=0.02):
@@ -58,7 +65,7 @@ class TestFixedStepByteIdentity:
             for s in scenarios
         ]
         serial = [
-            run_proposed(s, settings=st)
+            proposed_run(s, st)
             for s, st in zip(scenarios, settings_list)
         ]
         batch = _batched_run(scenarios, settings_list)
@@ -81,7 +88,7 @@ class TestFixedStepByteIdentity:
             for s in scenarios
         ]
         serial = [
-            run_proposed(s, settings=st)
+            proposed_run(s, st)
             for s, st in zip(scenarios, settings_list)
         ]
         batch = _batched_run(scenarios, settings_list)
@@ -98,7 +105,7 @@ class TestFixedStepByteIdentity:
             replace(s.solver_settings(), fixed_step=5e-5) for s in scenarios
         ]
         serial = [
-            run_proposed(s, settings=st)
+            proposed_run(s, st)
             for s, st in zip(scenarios, settings_list)
         ]
         batch = _batched_run(scenarios, settings_list)
@@ -112,7 +119,7 @@ class TestAdaptiveSharedStep:
         scenarios = _lane_scenarios(duration_s=0.05)
         settings_list = [scenario_solver_settings(s) for s in scenarios]
         serial = [
-            run_proposed(s, settings=st)
+            proposed_run(s, st)
             for s, st in zip(scenarios, settings_list)
         ]
         batch = _batched_run(scenarios, settings_list)
@@ -150,7 +157,7 @@ class TestAdaptiveSharedStep:
         # exactly like the scalar solver's bookkeeping
         scenario = charging_scenario(duration_s=0.01, frequency_hz=70.0)
         settings = replace(scenario_solver_settings(scenario), fixed_step=1e-4)
-        scalar = run_proposed(scenario, settings=settings)
+        scalar = proposed_run(scenario, settings)
         batch = _batched_run([scenario], [settings])
         stats = batch.results[0].stats
         assert stats.n_jacobian_evaluations == scalar.stats.n_jacobian_evaluations
@@ -190,7 +197,7 @@ class TestLaneRetirement:
         # an absurdly tight divergence limit trips the guard on lane 1 only
         settings_list[1] = replace(settings_list[1], divergence_limit=1e-9)
         serial = [
-            run_proposed(s, settings=st)
+            proposed_run(s, st)
             for s, st in (
                 (scenarios[0], settings_list[0]),
                 (scenarios[2], settings_list[2]),

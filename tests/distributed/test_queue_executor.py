@@ -7,6 +7,7 @@ time; the integration test at the bottom runs a real facade sweep on
 *identical* to ``backend="process"`` — the subsystem's core promise.
 """
 
+import inspect
 import threading
 import uuid
 from types import SimpleNamespace
@@ -206,6 +207,36 @@ def test_worker_idle_timeout():
         clock=lambda: next(ticks),
     )
     assert counts == {"done": 0, "failed": 0}
+
+
+@pytest.mark.parametrize(
+    "lease_timeout_s, expected",
+    [
+        (None, inspect.signature(QueueSweepExecutor).parameters["lease_s"].default),
+        (5, 5.0),
+    ],
+)
+def test_engine_passes_the_lease_only_when_set(
+    monkeypatch, lease_timeout_s, expected
+):
+    """An unset ``lease_timeout_s`` leaves the lease to the executor."""
+    built = []
+
+    class Recording(QueueSweepExecutor):
+        def run(self, tasks, record):
+            built.append(self.lease_s)
+            raise RuntimeError("stop after construction")
+
+    monkeypatch.setattr(executor_module, "QueueSweepExecutor", Recording)
+    options = RunOptions.queue(fresh_url(), lease_timeout_s=lease_timeout_s)
+    study = (
+        Study.scenario(charging_scenario(0.01))
+        .options(options)
+        .sweep({"excitation_frequency_hz": [60.0]})
+    )
+    with pytest.raises(RuntimeError, match="stop after construction"):
+        study.run()
+    assert built == [expected]
 
 
 # ---------------------------------------------------------------------- #

@@ -10,12 +10,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro import Study
 from repro.core import SystemBuilder
 from repro.core.errors import ConfigurationError
 from repro.harvester.config import paper_harvester
 from repro.harvester.scenarios import (
     prepare_assembly,
-    run_proposed,
     scenario_solver_settings,
 )
 from repro.harvester.system import TunableEnergyHarvester, paper_spec
@@ -31,7 +31,7 @@ from repro.io import load_spec, save_spec
 
 class TestPiezoelectricTopology:
     def test_runs_and_charges(self):
-        result = run_proposed(piezoelectric_scenario(duration_s=0.05))
+        result = Study.scenario(piezoelectric_scenario(duration_s=0.05)).run()
         voltage = result["storage_voltage"].values
         assert np.all(np.isfinite(voltage))
         assert result["storage_voltage"].final() > 0.0
@@ -41,8 +41,8 @@ class TestPiezoelectricTopology:
     def test_assembly_structure_reuse_identical(self):
         scenario = piezoelectric_scenario(duration_s=0.03)
         structure = prepare_assembly(scenario)
-        fresh = run_proposed(scenario)
-        reused = run_proposed(scenario, assembly_structure=structure)
+        fresh = Study.scenario(scenario).run()
+        reused = Study.scenario(scenario).options(assembly_structure=structure).run()
         assert np.array_equal(
             fresh["storage_voltage"].values, reused["storage_voltage"].values
         )
@@ -61,12 +61,12 @@ class TestElectrostaticTopology:
         # the block genuinely has no analytic linearisation
         x0 = generator.initial_state()
         assert generator.linearise(0.0, x0, np.zeros(2)) is None
-        result = run_proposed(scenario)
+        result = Study.scenario(scenario).run()
         assert np.all(np.isfinite(result["storage_voltage"].values))
         assert result["storage_voltage"].final() > 0.0
 
     def test_travel_stays_inside_gap(self):
-        result = run_proposed(electrostatic_scenario(duration_s=0.05))
+        result = Study.scenario(electrostatic_scenario(duration_s=0.05)).run()
         z = result["generator.z"].values
         nominal_gap = 100e-6
         assert np.max(np.abs(z)) < nominal_gap

@@ -1,11 +1,9 @@
-"""Seeded facade violations (tests/lint fixture, never imported)."""
+"""Seeded facade violation (tests/lint fixture, never imported)."""
 
 from repro.analysis.engine import SweepEngine
-from repro.harvester.scenarios import run_proposed
 
 __all__ = ["build"]
 
 
-def build(spec):
-    engine = SweepEngine(spec)
-    return run_proposed(engine)
+def build(options):
+    return SweepEngine(options)

@@ -3,5 +3,5 @@
 __all__ = ["make"]
 
 
-def make(spec):
-    return SweepEngine(spec)  # repro-lint: disable=facade.engine-bypass -- fixture exercises inline suppression
+def make(options):
+    return SweepEngine(options)  # repro-lint: disable=facade.engine-bypass -- fixture exercises inline suppression

@@ -22,7 +22,6 @@ def test_check_json_on_fixture_exits_nonzero(capsys):
     assert doc["summary"]["ok"] is False
     rule_ids = {f["rule_id"] for f in doc["findings"]}
     assert "facade.engine-bypass" in rule_ids
-    assert "facade.deprecated-import" in rule_ids
 
 
 def test_check_rule_filter_restricts_families(capsys):

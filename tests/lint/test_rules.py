@@ -52,14 +52,10 @@ def test_kernel_purity_rules_fire_with_exact_lines():
     assert ("kernel-purity.closure", "core/kernels.py", 20) in got
 
 
-def test_facade_rules_fire_with_exact_lines():
+def test_engine_bypass_fires_with_exact_line():
     got = findings_for("facade_bypass", "facade")
-    assert ("facade.deprecated-import", "service.py", 4) in got
-    assert ("facade.engine-bypass", "service.py", 10) in got
-    # importing SweepEngine (not constructing) is not itself deprecated
-    assert not any(
-        rule == "facade.deprecated-import" and line == 3 for rule, _, line in got
-    )
+    # constructing the engine is the bypass; importing it is not
+    assert got == [("facade.engine-bypass", "service.py", 9)]
 
 
 def test_all_consistency_rules_fire_with_exact_lines():
