@@ -324,19 +324,23 @@ class DicksonMultiplier(AnalogueBlock):
     def batched_lineariser(
         self, lanes: Sequence[AnalogueBlock]
     ) -> PreparedBlockLineariser:
-        """Fast lineariser with all operating-point-independent work hoisted.
+        """Loop-free fast lineariser with all operating-point-independent work hoisted.
 
-        The capacitance stacks, the shared-companion-table check and the
-        four structurally constant fields (``jxy``, ``jyx``, ``jyy``,
-        ``ey``) are computed once; each refresh then performs only the
-        diode-voltage projection, the table lookups and the ``jxx``/``ex``
-        assembly, with the same expressions and accumulation order as
-        :meth:`linearise_batch` so the values stay bit-identical.
+        The capacitance stacks, the shared-companion-table check, the
+        input-node term list and the four structurally constant fields
+        (``jxy``, ``jyx``, ``jyy``, ``ey``) are computed once.  Each refresh
+        then runs a fixed handful of whole-array statements, cheap even at
+        one lane: the diode-voltage projection, the table lookups, and the
+        ``jxx``/``ex`` rows built side by side as one ``(B, n + 1, n + 2)``
+        array whose last column is ``ex``.  Every element goes through the
+        same multiply/subtract/divide as in :meth:`linearise` and
+        :meth:`linearise_batch`, and the input-node row is a left-to-right
+        ``np.add.accumulate`` from ``0.0`` over the signed terms in the
+        scalar loop's ``+=``/``-=`` order, so the values stay bit-identical.
         """
         b = len(lanes)
         n = self.n_stages
         coefficients = self._vd_coefficients
-        pump_active = self._pump_active
         n_states = n + 1
 
         table = self.companion_table
@@ -346,13 +350,28 @@ class DicksonMultiplier(AnalogueBlock):
         cin = np.array([lane.input_capacitance_f for lane in lanes])
         caps = np.stack([lane.capacitances for lane in lanes])
 
+        # input node: Cin dVin/dt = Im - sum_pump (I_{k+1} - I_k), as the
+        # diode indices and signs of the scalar loop's += / -= sequence
+        term_k = []
+        term_sign = []
+        for k in range(n):
+            if self._pump_active[k]:
+                term_k.append(k)
+                term_sign.append(1.0)
+                if k + 1 < n:
+                    term_k.append(k + 1)
+                    term_sign.append(-1.0)
+        term_k = np.array(term_k, dtype=int)
+        term_sign = np.array(term_sign)[None, :, None]
+        cin_rows = cin[:, None, None]
+        cap_rows = caps[:, :, None]
+
         # structurally constant fields, assembled exactly as linearise_batch
         # does so the prepared path scatters the same floats
         jxy = np.zeros((b, n_states, 4))
         jxy[:, 0, 1] = 1.0 / cin
-        for k in range(n):
-            if pump_active[k] and k + 1 >= n:
-                jxy[:, 0, 3] -= 1.0 / cin
+        if self._pump_active[n - 1]:
+            jxy[:, 0, 3] -= 1.0 / cin
         jxy[:, n, 3] = -1.0 / caps[:, -1]
         jyx = np.broadcast_to(self._jyx_template, (b, 2, n_states)).copy()
         jyy = np.broadcast_to(self._jyy_template, (b, 2, 4)).copy()
@@ -370,28 +389,27 @@ class DicksonMultiplier(AnalogueBlock):
                     for k in range(n):
                         g[i, k], j[i, k] = evaluate(float(vd[i, k]))
 
-            jxx = np.zeros((b, n_states, n_states))
-            ex = np.zeros((b, n_states))
-            for k in range(n):
-                if not pump_active[k]:
-                    continue
-                jxx[:, 0, :] += g[:, k, None] * coefficients[k, :] / cin[:, None]
-                ex[:, 0] += j[:, k] / cin
-                if k + 1 < n:
-                    jxx[:, 0, :] -= g[:, k + 1, None] * coefficients[k + 1, :] / cin[:, None]
-                    ex[:, 0] -= j[:, k + 1] / cin
-            for k in range(n - 1):
-                ck = caps[:, k, None]
-                jxx[:, k + 1, :] = (
-                    g[:, k, None] * coefficients[k, :]
-                    - g[:, k + 1, None] * coefficients[k + 1, :]
-                ) / ck
-                ex[:, k + 1] = (j[:, k] - j[:, k + 1]) / caps[:, k]
-            cn = caps[:, -1]
-            jxx[:, n, :] = g[:, n - 1, None] * coefficients[n - 1, :] / cn[:, None]
-            ex[:, n] = j[:, n - 1] / cn
+            # diode k's current terms [g_k * A_k | J_k], then every row of
+            # [jxx | ex] at once: stage rows (I_k - I_{k+1}) / C_k, output
+            # row I_n / C_n, input row the signed running sum over / Cin
+            currents = np.empty((b, n, n_states + 1))
+            np.multiply(g[:, :, None], coefficients, out=currents[:, :, :n_states])
+            currents[:, :, n_states] = j
+            rows = np.empty((b, n_states, n_states + 1))
+            rows[:, 1:] = currents
+            rows[:, 1:n] -= currents[:, 1:]
+            rows[:, 1:] /= cap_rows
+            signed = np.zeros((b, len(term_k) + 1, n_states + 1))
+            np.divide(currents[:, term_k], cin_rows, out=signed[:, 1:])
+            signed[:, 1:] *= term_sign
+            rows[:, 0] = np.add.accumulate(signed, axis=1)[:, -1]
             return BatchedLinearisation(
-                jxx=jxx, jxy=jxy, ex=ex, jyx=jyx, jyy=jyy, ey=ey
+                jxx=rows[:, :, :n_states],
+                jxy=jxy,
+                ex=rows[:, :, n_states],
+                jyx=jyx,
+                jyy=jyy,
+                ey=ey,
             )
 
         return PreparedBlockLineariser(

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,6 +43,8 @@ __all__ = [
     "Terminal",
     "LINEARISATION_FIELDS",
     "BATCHED_PROTOCOL_METHODS",
+    "BATCHED_SCALAR_COUNTERPARTS",
+    "batched_api_applies",
 ]
 
 #: field names of a (batched) linearisation, in canonical order — the only
@@ -51,6 +54,36 @@ LINEARISATION_FIELDS = ("jxx", "jxy", "ex", "jyx", "jyy", "ey")
 #: the batched-block protocol methods whose signatures the solver calls
 #: positionally (and the static checker verifies against overrides)
 BATCHED_PROTOCOL_METHODS = ("evaluate_batch", "linearise_batch", "batched_lineariser")
+
+#: the scalar methods each batched protocol method stands in for
+BATCHED_SCALAR_COUNTERPARTS: Dict[str, Tuple[str, ...]] = {
+    "evaluate_batch": ("derivatives", "algebraic_residual"),
+    "linearise_batch": ("linearise",),
+    "batched_lineariser": ("linearise",),
+}
+
+
+def _defining_class(cls: type, name: str) -> type:
+    return next(klass for klass in cls.__mro__ if name in vars(klass))
+
+
+@lru_cache(maxsize=None)
+def batched_api_applies(cls: type, method: str) -> bool:
+    """Whether ``cls``'s batched ``method`` speaks for its scalar model.
+
+    A batched protocol method is a bit-identical drop-in only for the
+    scalar methods of the class that defines it.  A subclass overriding a
+    scalar counterpart (e.g. ``linearise``) *below* the class providing
+    the batched method would have its override silently ignored by the
+    batched path, so the batched method applies only when its defining
+    class is the defining class of every counterpart, or a subclass of it.
+    Callers fall back to the scalar methods otherwise.
+    """
+    owner = _defining_class(cls, method)
+    return all(
+        issubclass(owner, _defining_class(cls, scalar))
+        for scalar in BATCHED_SCALAR_COUNTERPARTS[method]
+    )
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from .block import (
     BatchedLinearisation,
     BlockLinearisation,
     PreparedBlockLineariser,
+    batched_api_applies,
 )
 from .errors import ConfigurationError, SingularLaneError, SingularSystemError
 from .linearise import linearise_block, linearise_block_lanes
@@ -346,12 +347,12 @@ class SystemAssembler:
                 f"algebraic system is not square ({jyy.shape[0]}x{jyy.shape[1]})"
             )
         if jyy.size == 0:
-            a_reduced = lin.jxx
-            b_reduced = lin.ex
             empty = np.zeros((0,))
+            # copy: lin may be a lane of a prepared batched workspace, and
+            # the reduced system must outlive the next refresh
             return ReducedSystem(
-                a_reduced=a_reduced,
-                b_reduced=b_reduced,
+                a_reduced=lin.jxx.copy(),
+                b_reduced=lin.ex.copy(),
                 y_solution=empty,
                 elimination_matrix=np.zeros((0, lin.n_states)),
                 elimination_offset=empty,
@@ -431,7 +432,8 @@ class _PreparedGroup:
     :class:`AssemblyStructure`) plus the block's
     :class:`~repro.core.block.PreparedBlockLineariser` when available;
     ``prepared is None`` keeps the group on the generic
-    :func:`~repro.core.linearise.linearise_block_lanes` dispatch.
+    :func:`~repro.core.linearise.linearise_block_lanes` dispatch (the
+    scalar :func:`~repro.core.linearise.linearise_block` at one lane).
     """
 
     lanes: List[AnalogueBlock]
@@ -615,7 +617,9 @@ class BatchedAssembler:
         """Bind the batched refresh fast path to this assembler's lane set.
 
         Asks every block group for a
-        :class:`~repro.core.block.PreparedBlockLineariser` and allocates a
+        :class:`~repro.core.block.PreparedBlockLineariser` (unless a
+        subclass overrides ``linearise`` below the class providing it, see
+        :func:`~repro.core.block.batched_api_applies`) and allocates a
         persistent scatter workspace; subsequent :meth:`assemble` calls run
         through :meth:`_assemble_prepared`, which re-scatters only the
         fields each group declares non-constant (groups without a prepared
@@ -642,7 +646,9 @@ class BatchedAssembler:
             if rep.n_algebraic:
                 r0 = s.alg_offsets[rep.name]
                 rows = slice(r0, r0 + rep.n_algebraic)
-            prepared = rep.batched_lineariser(lanes)
+            prepared = None
+            if batched_api_applies(type(rep), "batched_lineariser"):
+                prepared = rep.batched_lineariser(lanes)
             if prepared is not None:
                 any_prepared = True
             groups.append(
@@ -698,21 +704,32 @@ class BatchedAssembler:
         ws = self._workspace
         assert ws is not None and self._groups is not None
         first = not self._static_scattered
+        single = self.n_lanes == 1
         for grp in self._groups:
             rep = grp.lanes[0]
             sl = grp.sl
             terminal_idx = grp.terminal_idx
+            validate = first
             if grp.prepared is not None:
                 lin = grp.prepared.lineariser(
                     t, x_global[:, sl], y_global[:, terminal_idx]
                 )
                 constant = grp.constant
+            elif single:
+                # one lane (the scalar march): the scalar dispatch, validated
+                # inside, gives the same bits without the batched overhead --
+                # at one lane the electrostatic finite-difference sweep costs
+                # ~650 us against ~180 us scalar, and stacking one analytic
+                # lane ~30 us; its unstacked arrays broadcast into the workspace
+                lin = linearise_block(rep, t, x_global[0, sl], y_global[0, terminal_idx])
+                constant = _NO_CONSTANT_FIELDS
+                validate = False
             else:
                 lin = linearise_block_lanes(
                     grp.lanes, t, x_global[:, sl], y_global[:, terminal_idx]
                 )
                 constant = _NO_CONSTANT_FIELDS
-            if first:
+            if validate:
                 lin.validate(
                     self.n_lanes, rep.n_states, rep.n_terminals, rep.n_algebraic
                 )

@@ -8,11 +8,17 @@ cross-check the analytic linearisations of the physical blocks.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .block import AnalogueBlock, BatchedLinearisation, BlockLinearisation
+from .block import (
+    AnalogueBlock,
+    BatchedLinearisation,
+    BlockLinearisation,
+    batched_api_applies,
+)
 
 __all__ = [
     "finite_difference_jacobian",
@@ -145,8 +151,13 @@ def linearise_lanes_numerically(
     n_states, n_terminals, n_algebraic = rep.n_states, rep.n_terminals, rep.n_algebraic
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    evaluate_batch = rep.evaluate_batch
+    if not batched_api_applies(type(rep), "evaluate_batch"):
+        # scalar equations overridden below the class that vectorised
+        # them: take the generic loop over the scalar methods instead
+        evaluate_batch = partial(AnalogueBlock.evaluate_batch, rep)
 
-    fx0, fy0 = rep.evaluate_batch(lanes, t, x, y)
+    fx0, fy0 = evaluate_batch(lanes, t, x, y)
     jxx = np.zeros((b, n_states, n_states))
     jxy = np.zeros((b, n_states, n_terminals))
     jyx = np.zeros((b, n_algebraic, n_states))
@@ -161,11 +172,11 @@ def linearise_lanes_numerically(
             plus[:, j] += h
             minus[:, j] -= h
             if perturb_states:
-                fx_p, fy_p = rep.evaluate_batch(lanes, t, plus, other)
-                fx_m, fy_m = rep.evaluate_batch(lanes, t, minus, other)
+                fx_p, fy_p = evaluate_batch(lanes, t, plus, other)
+                fx_m, fy_m = evaluate_batch(lanes, t, minus, other)
             else:
-                fx_p, fy_p = rep.evaluate_batch(lanes, t, other, plus)
-                fx_m, fy_m = rep.evaluate_batch(lanes, t, other, minus)
+                fx_p, fy_p = evaluate_batch(lanes, t, other, plus)
+                fx_m, fy_m = evaluate_batch(lanes, t, other, minus)
             scale = (2.0 * h)[:, None]
             target_x = jxx if perturb_states else jxy
             target_x[:, :, j] = (fx_p - fx_m) / scale
@@ -204,17 +215,20 @@ def linearise_block_lanes(
 
     Dispatch order mirrors the scalar :func:`linearise_block`:
 
-    1. the block's own vectorised ``linearise_batch`` when ported;
+    1. the block's own vectorised ``linearise_batch`` when ported and not
+       shadowed by a scalar ``linearise`` override in a subclass (see
+       :func:`~repro.core.block.batched_api_applies`);
     2. otherwise a loop over the lanes' scalar ``linearise`` stacked into
        one batched object (unported analytic blocks keep working);
     3. blocks without analytic Jacobians fall back to the batched
        finite-difference sweep of :func:`linearise_lanes_numerically`.
     """
     rep = lanes[0]
-    lin = rep.linearise_batch(lanes, t, x, y)
-    if lin is not None:
-        lin.validate(len(lanes), rep.n_states, rep.n_terminals, rep.n_algebraic)
-        return lin
+    if batched_api_applies(type(rep), "linearise_batch"):
+        lin = rep.linearise_batch(lanes, t, x, y)
+        if lin is not None:
+            lin.validate(len(lanes), rep.n_states, rep.n_terminals, rep.n_algebraic)
+            return lin
     scalar = [lane.linearise(t, x[i], y[i]) for i, lane in enumerate(lanes)]
     if all(s is not None for s in scalar):
         return BatchedLinearisation.stack(scalar)

@@ -21,6 +21,8 @@ from typing import List, Optional
 
 import numpy as np
 
+from .stability import frobenius_norm
+
 __all__ = ["LLESample", "LLEMonitor"]
 
 
@@ -66,10 +68,10 @@ class LLEMonitor:
         """Relative Frobenius-norm change of the Jacobian since last call."""
         if self._previous_jacobian is None:
             return 0.0
-        scale = np.linalg.norm(self._previous_jacobian)
+        scale = frobenius_norm(self._previous_jacobian)
         if scale == 0.0:
             scale = 1.0
-        return float(np.linalg.norm(jacobian - self._previous_jacobian) / scale)
+        return float(frobenius_norm(jacobian - self._previous_jacobian) / scale)
 
     def record(
         self,

@@ -182,7 +182,13 @@ class PWLTable:
             idx = np.floor((xs - self._x0) / self._data.dx).astype(np.intp)
         else:
             idx = np.searchsorted(self._data.x, xs, side="right") - 1
-        return np.clip(idx, 0, self._n_segments)
+        if idx.ndim == 0:
+            # a scalar query yields a numpy scalar, which has no ``out=``
+            return np.clip(idx, 0, self._n_segments)
+        # in-place max/min: the same clamp as np.clip at a fraction of its
+        # call overhead, which dominates at the few-element sizes of a refresh
+        np.maximum(idx, 0, out=idx)
+        return np.minimum(idx, self._n_segments, out=idx)
 
     def interpolate_at(self, idx: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Vectorised interpolation on precomputed segment indices.

@@ -30,11 +30,12 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from .digital import AnalogueInterface, DigitalEventKernel
-from .elimination import ReducedSystem, SystemAssembler
+from .elimination import BatchedAssembler, ReducedSystem, SystemAssembler
 from .errors import ConfigurationError, StabilityError
 from .integrators import AdamsBashforth, ExplicitIntegrator
 from .lle import LLEMonitor
 from .results import SimulationResult, SolverStats, TraceRecorder
+from .stability import frobenius_norm
 from .stepper import StepControlSettings, StepSizeController
 
 __all__ = ["SolverSettings", "LinearisedStateSpaceSolver"]
@@ -186,7 +187,15 @@ class LinearisedStateSpaceSolver:
         t_start: float = 0.0,
         x0: Optional[np.ndarray] = None,
     ) -> SimulationResult:
-        """Simulate from ``t_start`` to ``t_end`` and return all traces."""
+        """Simulate from ``t_start`` to ``t_end`` and return all traces.
+
+        Every refresh (linearise + eliminate) runs through a one-lane
+        prepared :class:`BatchedAssembler` workspace bound at run start:
+        lane-constant fields are scattered once instead of every step.  A
+        digital action that changes the model may change those constants
+        (tuning force, equivalent load), so the workspace is re-bound
+        after every such action.  The workspace lives only for this run.
+        """
         if t_end <= t_start:
             raise ConfigurationError("t_end must be greater than t_start")
         settings = self.settings
@@ -217,10 +226,12 @@ class LinearisedStateSpaceSolver:
         state_names = assembler.state_names()
         net_names = assembler.net_names()
 
+        workspace = BatchedAssembler([assembler])
+        workspace.prepare()
+
         # initial consistency solve so that terminal variables (and the
         # probes the digital side reads) are meaningful from t_start onwards
-        initial_lin = assembler.assemble(self._t, self._x, self._y)
-        self._y = assembler.eliminate(initial_lin, self._x).y_solution
+        self._y = self._refresh(workspace).y_solution
         stats.n_linear_solves += 1
 
         # amortised-relinearisation bookkeeping (see SolverSettings)
@@ -242,6 +253,8 @@ class LinearisedStateSpaceSolver:
                         controller.reset()
                         self.lle_monitor.reset()
                         reduced = None  # the analogue model changed under us
+                        # re-bind: the prepared constants are stale
+                        workspace.prepare()
 
             # 2. linearise + eliminate at the current point, or reuse the
             #    held affine model while it is still fresh enough
@@ -251,8 +264,7 @@ class LinearisedStateSpaceSolver:
                 scale = float(np.max(np.abs(x_reference)))
                 refresh = drift > state_rtol * (scale + 1e-300)
             if refresh:
-                lin = assembler.assemble(self._t, self._x, self._y)
-                reduced = assembler.eliminate(lin, self._x)
+                reduced = self._refresh(workspace)
                 self._y = reduced.y_solution
                 stats.n_jacobian_evaluations += 1
                 stats.n_linear_solves += 1
@@ -311,7 +323,7 @@ class LinearisedStateSpaceSolver:
             self._t += h
 
             if not np.all(np.isfinite(self._x)) or (
-                np.linalg.norm(self._x) > settings.divergence_limit
+                frobenius_norm(self._x) > settings.divergence_limit
             ):
                 raise StabilityError(
                     f"solution diverged at t={self._t:.6g} (step {h:.3g}); "
@@ -319,9 +331,7 @@ class LinearisedStateSpaceSolver:
                 )
 
         # final consistent record at t_end
-        lin = assembler.assemble(self._t, self._x, self._y)
-        reduced = assembler.eliminate(lin, self._x)
-        self._y = reduced.y_solution
+        self._y = self._refresh(workspace).y_solution
         self._record(recorder, state_names, net_names, force=True)
 
         stats.cpu_time_s = time.perf_counter() - wall_start
@@ -343,6 +353,16 @@ class LinearisedStateSpaceSolver:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
+    def _refresh(self, workspace: BatchedAssembler) -> ReducedSystem:
+        """Linearise + eliminate at the current point.
+
+        ``workspace`` is the run's one-lane prepared assembler.  The scalar
+        :meth:`SystemAssembler.eliminate` reads its lane and returns fresh
+        arrays, so the reduced system outlives the next refresh.
+        """
+        lin = workspace.assemble(self._t, self._x[None], self._y[None]).lane(0)
+        return self.assembler.eliminate(lin, self._x)
+
     @staticmethod
     def _frozen_derivative(reduced: ReducedSystem) -> Callable[[float, np.ndarray], np.ndarray]:
         """Derivative function of the locally linearised model.

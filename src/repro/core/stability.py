@@ -21,10 +21,12 @@ This module provides both criteria:
 
 from __future__ import annotations
 
+import math
 
 import numpy as np
 
 __all__ = [
+    "frobenius_norm",
     "spectral_radius",
     "is_spectrally_stable",
     "spectral_step_limit",
@@ -34,6 +36,18 @@ __all__ = [
     "minimum_time_constant",
     "stiffness_ratio",
 ]
+
+
+def frobenius_norm(a: np.ndarray) -> float:
+    """Frobenius (flattened 2-) norm of a real float array.
+
+    Bitwise equal to ``np.linalg.norm(a)``: this is numpy's own ``ord=None``
+    code path (``sqrt`` of the flattened self dot product; IEEE ``sqrt`` is
+    correctly rounded in both ``math`` and numpy) without the dispatch
+    overhead, which matters on the scalar march's per-step hot path.
+    """
+    flat = a.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
 
 
 def spectral_radius(matrix: np.ndarray) -> float:

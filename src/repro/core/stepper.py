@@ -24,6 +24,7 @@ import numpy as np
 from .errors import ConfigurationError, StepSizeError
 from .stability import (
     diagonal_dominance_step_limit,
+    frobenius_norm,
     integrator_step_limit,
     integrator_step_limit_batch,
 )
@@ -165,10 +166,10 @@ class StepSizeController:
         if not settings.use_spectral_limit:
             return diagonal_dominance_step_limit(a_reduced, safety=settings.safety)
         if self._cached_stability_limit is not None and self._stability_jacobian is not None:
-            scale = np.linalg.norm(self._stability_jacobian)
+            scale = frobenius_norm(self._stability_jacobian)
             if scale == 0.0:
                 scale = 1.0
-            drift = np.linalg.norm(a_reduced - self._stability_jacobian) / scale
+            drift = frobenius_norm(a_reduced - self._stability_jacobian) / scale
             if drift <= settings.stability_recompute_threshold:
                 return self._cached_stability_limit
         limit = integrator_step_limit(
@@ -186,10 +187,10 @@ class StepSizeController:
         if self._previous_jacobian is None:
             return 0.0
         previous = self._previous_jacobian
-        scale = np.linalg.norm(previous)
+        scale = frobenius_norm(previous)
         if scale == 0.0:
             scale = 1.0
-        return float(np.linalg.norm(a_reduced - previous) / scale)
+        return float(frobenius_norm(a_reduced - previous) / scale)
 
     # ------------------------------------------------------------------ #
     # main entry point

@@ -16,6 +16,14 @@ test necessarily noticing.  Checks:
   (:data:`repro.core.block.LINEARISATION_FIELDS`) and, when the prepared
   callable constructs a fresh ``BatchedLinearisation`` per call, must be
   fields that construction actually passes;
+* ``block-protocol.shadowed-batch`` — a block class must not override a
+  scalar model method (``linearise``, or ``derivatives`` /
+  ``algebraic_residual``) below the class providing the batched method
+  that stands in for it (``linearise_batch`` / ``batched_lineariser``, or
+  ``evaluate_batch``; :data:`repro.core.block.BATCHED_SCALAR_COUNTERPARTS`)
+  without overriding that batched method too — the batched path would
+  march the ancestor's model and silently ignore the override (the
+  runtime falls back to the scalar methods, losing the speed-up);
 * ``block-protocol.roundtrip`` — a class defining ``to_dict`` must also
   define ``from_dict`` (serialised specs that cannot come back are
   write-only data);
@@ -29,7 +37,11 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from ..core.block import BATCHED_PROTOCOL_METHODS, LINEARISATION_FIELDS
+from ..core.block import (
+    BATCHED_PROTOCOL_METHODS,
+    BATCHED_SCALAR_COUNTERPARTS,
+    LINEARISATION_FIELDS,
+)
 from .base import Finding, LintRule, Project, SourceFile, iter_classes
 
 __all__ = ["BlockProtocolRule", "PROTOCOL_SIGNATURES", "TERMINAL_KINDS"]
@@ -64,6 +76,83 @@ def _is_analogue_block_subclass(cls: ast.ClassDef) -> bool:
         if isinstance(base, ast.Attribute) and base.attr == "AnalogueBlock":
             return True
     return False
+
+
+def _base_names(cls: ast.ClassDef) -> List[str]:
+    names = []
+    for base in cls.bases:
+        if isinstance(base, ast.Name):
+            names.append(base.id)
+        elif isinstance(base, ast.Attribute):
+            names.append(base.attr)
+    return names
+
+
+def _method_lines(cls: ast.ClassDef) -> Dict[str, int]:
+    return {
+        member.name: member.lineno
+        for member in cls.body
+        if isinstance(member, ast.FunctionDef)
+    }
+
+
+def _shadowed_batches(
+    project: Project,
+) -> Iterator[Tuple[SourceFile, ast.ClassDef, str, int, List[str]]]:
+    """Scalar overrides that sit below the class providing their batched method.
+
+    Classes are resolved by simple name across the checked tree; a name
+    defined more than once, or a base outside the tree, ends the ancestor
+    walk there (better silent than wrong).  ``AnalogueBlock``'s own
+    batched methods are the generic loops over the scalar methods, so
+    they never shadow anything.  Yields ``(file, class, scalar method,
+    line, ["Provider.batched_method", ...])``.
+    """
+    by_name: Dict[str, List[Tuple[SourceFile, ast.ClassDef]]] = {}
+    for sf in project.files:
+        if sf.tree is None:
+            continue
+        for cls in iter_classes(sf.tree):
+            by_name.setdefault(cls.name, []).append((sf, cls))
+
+    def ancestors(cls: ast.ClassDef) -> List[ast.ClassDef]:
+        out: List[ast.ClassDef] = []
+        pending = _base_names(cls)
+        while pending:
+            name = pending.pop(0)
+            found = by_name.get(name, [])
+            if name == "AnalogueBlock" or len(found) != 1:
+                continue
+            base = found[0][1]
+            if base not in out:
+                out.append(base)
+                pending.extend(_base_names(base))
+        return out
+
+    for entries in by_name.values():
+        for sf, cls in entries:
+            chain = ancestors(cls)
+            if cls.name == "AnalogueBlock" or not any(
+                _is_analogue_block_subclass(c) for c in (cls, *chain)
+            ):
+                continue
+            own = _method_lines(cls)
+            shadowed: Dict[str, List[str]] = {}
+            for batched, scalars in BATCHED_SCALAR_COUNTERPARTS.items():
+                if batched in own:
+                    continue
+                provider = next(
+                    (base for base in chain if batched in _method_lines(base)), None
+                )
+                if provider is None:
+                    continue
+                for scalar in scalars:
+                    if scalar in own:
+                        shadowed.setdefault(scalar, []).append(
+                            f"{provider.name}.{batched}"
+                        )
+            for scalar, providers in shadowed.items():
+                yield sf, cls, scalar, own[scalar], providers
 
 
 def _protocol_signatures(project: Project) -> Dict[str, Tuple[str, ...]]:
@@ -211,8 +300,9 @@ class BlockProtocolRule(LintRule):
     family = "block-protocol"
     description = (
         "registered blocks must match the batched protocol signatures, "
-        "declare honest PreparedBlockLineariser constants, keep "
-        "to_dict/from_dict pairs and declare registry terminals"
+        "declare honest PreparedBlockLineariser constants, not shadow a "
+        "batched method with a scalar override, keep to_dict/from_dict "
+        "pairs and declare registry terminals"
     )
 
     def run(self, project: Project) -> Iterator[Finding]:
@@ -222,6 +312,17 @@ class BlockProtocolRule(LintRule):
                 continue
             yield from self._check_classes(sf, signatures)
             yield from self._check_registry_calls(sf)
+        for sf, cls, scalar, line, providers in _shadowed_batches(project):
+            yield self.finding(
+                "shadowed-batch",
+                sf,
+                line,
+                f"{cls.name}.{scalar} overrides the scalar model below "
+                f"{' and '.join(providers)}, which {cls.name} inherits "
+                "unchanged — the batched path cannot see the override and "
+                "falls back to the slow scalar loop; override the batched "
+                f"method(s) in {cls.name} as well",
+            )
 
     def _check_classes(
         self, sf: SourceFile, signatures: Dict[str, Tuple[str, ...]]

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from repro.core.batch import BatchedSolver
-from repro.core.block import LinearBlock, PreparedBlockLineariser
-from repro.core.elimination import SystemAssembler
+from repro.core.block import AnalogueBlock, LinearBlock, PreparedBlockLineariser
+from repro.core.elimination import BatchedAssembler, SystemAssembler
 from repro.core.errors import ConfigurationError
 from repro.core.kernels import _eliminate_lanes_impl, available_backends
+from repro.core.linearise import linearise_block_lanes
 from repro.core.netlist import Netlist
 from repro.core.solver import SolverSettings
-from repro.harvester.scenarios import prepare_assembly
+from repro.harvester.scenarios import prepare_assembly, scenario_solver_settings
+from repro.harvester.topologies import electrostatic_scenario, piezoelectric_scenario
 
 from .test_compiled_kernels import (
     LANE_SETS,
@@ -21,6 +23,7 @@ from .test_compiled_kernels import (
     _scalar_batch,
     _settings_for,
 )
+from .test_solver import driven_rc_assembler
 
 
 def _refresh_run(scenarios, settings_list, compiled="off", perlane=False,
@@ -279,6 +282,80 @@ class TestFallbackEquivalence:
         batch = solver.run([0.02, 0.02], x0=np.ones((2, 2)))
         assert not batch.failures
         assert batch.results[0].metadata["batched_refresh"] is False
+
+
+class _VectorisedDecay(AnalogueBlock):
+    """dx/dt = -rate x with a vectorised evaluate_batch and no analytic Jacobian."""
+
+    rate = 1.0
+
+    def __init__(self):
+        super().__init__("decay", state_names=("x",), terminal_names=())
+
+    def derivatives(self, t, x, y):
+        return -self.rate * x
+
+    def evaluate_batch(self, lanes, t, x, y):
+        return -self.rate * x, np.empty((len(lanes), 0))
+
+
+class _FasterDecay(_VectorisedDecay):
+    """Overrides the scalar equations below the vectorised evaluate_batch."""
+
+    def derivatives(self, t, x, y):
+        return -3.0 * x
+
+
+class TestScalarOverrideBelowBatchedApi:
+    """A subclass's scalar override beats the batched method it inherits."""
+
+    @pytest.mark.parametrize("prepared", [False, True])
+    def test_linearise_override_reaches_batched_assembly(self, prepared):
+        # the test-suite source block overrides LinearBlock.linearise to
+        # drive ey = -level; LinearBlock's batched methods do not know that
+        lanes = [driven_rc_assembler() for _ in range(2)]
+        lanes[1][1].level = 2.0
+        batched = BatchedAssembler([assembler for assembler, _ in lanes])
+        if prepared:
+            batched.prepare()
+        x = batched.initial_state()
+        y = np.zeros((2, batched.n_terminals))
+        lin = batched.assemble(0.0, x, y)
+        for i, (assembler, source) in enumerate(lanes):
+            scalar = assembler.assemble(0.0, x[i], y[i])
+            assert scalar.ey[0] == -source.level
+            for field in ("jxx", "jxy", "ex", "jyx", "jyy", "ey"):
+                assert np.array_equal(getattr(lin.lane(i), field), getattr(scalar, field))
+
+    def test_scalar_equations_override_reaches_batched_finite_differences(self):
+        lanes = [_FasterDecay(), _FasterDecay()]
+        x = np.array([[1.0], [2.0]])
+        lin = linearise_block_lanes(lanes, 0.0, x, np.zeros((2, 0)))
+        assert np.allclose(lin.jxx[:, 0, 0], -3.0)
+
+
+class TestOneLanePreparedRefresh:
+    """At one lane, unprepared groups take the scalar dispatch: same bits."""
+
+    @pytest.mark.parametrize(
+        "factory", [piezoelectric_scenario, electrostatic_scenario]
+    )
+    def test_one_lane_refresh_matches_batched_dispatch(self, factory):
+        scenario = factory(duration_s=0.01)
+        harvester = scenario.build_harvester()
+        solver = harvester.build_solver(settings=scenario_solver_settings(scenario))
+        solver.run(scenario.duration_s)
+        t, x, y = solver._t, solver._x[None], solver._y[None]
+        generic = BatchedAssembler([harvester.assembler]).assemble(t, x, y)
+        workspace = BatchedAssembler([harvester.assembler])
+        workspace.prepare()
+        # the electrostatic transducer has no prepared lineariser; the
+        # second call exercises the non-validating steady-state scatter
+        assert any(grp.prepared is None for grp in workspace._groups)
+        for _ in range(2):
+            fast = workspace.assemble(t, x, y)
+            for field in ("jxx", "jxy", "ex", "jyx", "jyy", "ey"):
+                assert getattr(fast, field).tobytes() == getattr(generic, field).tobytes()
 
 
 class TestPreparedBlockLineariserContract:

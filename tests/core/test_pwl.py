@@ -69,6 +69,15 @@ class TestPWLTableLookup:
         with pytest.raises(TableRangeError):
             table.slope(-0.5)
 
+    @pytest.mark.parametrize("breakpoints", [[0.0, 1.0, 2.0], [0.0, 1.0, 3.0]])
+    def test_segment_indices_of_a_scalar_query(self, breakpoints):
+        # uniform and non-uniform grids, inside and clamped at both edges
+        table = PWLTable(breakpoints, [0.0, 1.0, 4.0])
+        for x, expected in ((0.5, 0), (1.5, 1), (-5.0, 0), (9.0, 1)):
+            assert table.segment_indices(x) == expected
+            assert table.segment_indices(np.float64(x)) == expected
+            assert table.segment_indices(np.array([x])).tolist() == [expected]
+
     def test_evaluate_many(self):
         table = PWLTable([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
         values = table.evaluate_many([0.0, 0.5, 1.5])
@@ -134,6 +143,11 @@ class TestCompanionTable:
         g, j = table.evaluate(0.5)
         assert g == pytest.approx(3.0)
         assert j == pytest.approx(0.0, abs=1e-12)
+
+    def test_evaluate_batch_of_a_scalar_query(self):
+        table = build_companion_table(lambda v: v**3, None, -2.0, 2.0, 33)
+        for v in (-3.0, -0.7, 0.25, 2.5):
+            assert table.evaluate_batch(v) == table.evaluate(v)
 
     def test_domain_validation(self):
         with pytest.raises(ConfigurationError):

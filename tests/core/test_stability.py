@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.stability import (
     diagonal_dominance_step_limit,
+    frobenius_norm,
     integrator_step_limit,
     is_diagonally_dominant,
     is_spectrally_stable,
@@ -15,6 +17,25 @@ from repro.core.stability import (
     spectral_step_limit,
     stiffness_ratio,
 )
+
+
+class TestFrobeniusNorm:
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=9),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal_to_numpy_norm(self, a, transpose):
+        if transpose:
+            a = a.T  # a non-contiguous view for 2-D draws
+        with np.errstate(over="ignore"):  # huge draws overflow to inf alike
+            got = np.float64(frobenius_norm(a))
+            want = np.float64(np.linalg.norm(a))
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSpectralRadius:

@@ -42,6 +42,18 @@ def test_block_protocol_rules_fire_with_exact_lines():
     assert not any(line == 20 for _, _, line in got)
 
 
+def test_shadowed_batch_fires_on_scalar_overrides_below_the_batched_provider():
+    got = findings_for("shadowed_batch", "block-protocol")
+    # ShadowBlock.linearise sits below FastBlock.linearise_batch and
+    # FastBlock.batched_lineariser (one finding), ShadowBlock.derivatives
+    # below FastBlock.evaluate_batch; HonestBlock overrides the batched
+    # methods too, and GrandchildBlock only inherits the shadowing
+    assert sorted(got) == [
+        ("block-protocol.shadowed-batch", "blocks/shadow.py", 7),
+        ("block-protocol.shadowed-batch", "blocks/shadow.py", 10),
+    ]
+
+
 def test_kernel_purity_rules_fire_with_exact_lines():
     got = findings_for("impure_kernel", "kernel-purity")
     assert ("kernel-purity.nondeterminism", "core/kernels.py", 13) in got
@@ -70,6 +82,7 @@ def test_every_rule_family_exits_nonzero_on_its_fixture():
     for tree, family in (
         ("unfingerprinted", "fingerprint"),
         ("protocol_drift", "block-protocol"),
+        ("shadowed_batch", "block-protocol"),
         ("impure_kernel", "kernel-purity"),
         ("facade_bypass", "facade"),
     ):
