@@ -841,6 +841,7 @@ class BatchedSolver:
                     state_rtol,
                     x_reference,
                     divergence_limit,
+                    weight_memo=integrator_state.weight_memo,
                 )
                 kernel_time += time.perf_counter() - kernel_start
                 burst_steps = burst.steps

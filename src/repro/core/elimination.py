@@ -423,6 +423,12 @@ class SystemAssembler:
 # ---------------------------------------------------------------------- #
 _NO_CONSTANT_FIELDS: frozenset = frozenset()
 
+#: the prepared fields the Eq. (4) elimination reads: when every group
+#: with algebraic rows or terminals declares them constant, ``J_yy``, its
+#: right-hand sides and ``J_xy`` only change on a re-bind, and the solve
+#: and its ``J_xy`` products are held across refreshes
+_ELIMINATION_FIELDS: frozenset = frozenset({"jyx", "jyy", "ey", "jxy"})
+
 
 @dataclass
 class _PreparedGroup:
@@ -442,6 +448,20 @@ class _PreparedGroup:
     rows: Optional[slice]
     prepared: Optional[PreparedBlockLineariser]
     constant: frozenset
+
+
+@dataclass
+class _HeldElimination:
+    """Eq. (4) operands of a bound workspace, solved once per bind.
+
+    ``y = elimination_matrix x + elimination_offset`` for every lane;
+    ``jxy_m``/``jxy_c`` are the products ``J_xy M`` and ``J_xy c``.
+    """
+
+    elimination_matrix: np.ndarray
+    elimination_offset: np.ndarray
+    jxy_m: np.ndarray
+    jxy_c: np.ndarray
 
 
 @dataclass
@@ -565,6 +585,11 @@ class BatchedAssembler:
         self._groups: Optional[List[_PreparedGroup]] = None
         self._workspace: Optional[BatchedGlobalLinearisation] = None
         self._static_scattered = False
+        # held Eq. (4) elimination (see prepare()): whether the bound
+        # workspace holds it, and the operands once the first eliminate()
+        # has solved them
+        self._hold_elimination = False
+        self._held: Optional[_HeldElimination] = None
         # optional compiled elimination (see enable_compiled_eliminate())
         self._eliminate_backend = "off"
         self._eliminate_kernel = None
@@ -633,6 +658,17 @@ class BatchedAssembler:
         The workspace arrays are reused across calls — callers must treat
         the returned :class:`BatchedGlobalLinearisation` as transient and
         must not mutate or retain its fields past the next refresh.
+
+        Binding also decides whether the workspace **holds the Eq. (4)
+        elimination**: when every group with algebraic rows or terminals is
+        prepared and declares ``jyx``/``jyy``/``ey``/``jxy`` constant, those
+        fields only change on a re-bind, so :meth:`eliminate` solves
+        ``J_yy`` and forms ``J_xy M``, ``J_xy c`` once per bind and reduces
+        every later refresh to ``y = M x + c``, ``A_r = J_xx + J_xy M``,
+        ``b_r = e_x + J_xy c``.  The same LAPACK call on the same
+        operands makes the held path bitwise equal to a per-refresh solve.
+        A model change behind a held constant therefore needs a re-bind
+        (``prepare()`` again), exactly as the scattered constants do.
         """
         s = self._structure
         b = self.n_lanes
@@ -675,6 +711,12 @@ class BatchedAssembler:
             ey=np.zeros((b, s.n_algebraic)),
         )
         self._static_scattered = False
+        self._hold_elimination = s.n_algebraic > 0 and all(
+            grp.prepared is not None and _ELIMINATION_FIELDS <= grp.constant
+            for grp in groups
+            if grp.rows is not None or grp.lanes[0].n_terminals
+        )
+        self._held = None
         return any_prepared
 
     def unprepare(self) -> None:
@@ -682,11 +724,18 @@ class BatchedAssembler:
         self._groups = None
         self._workspace = None
         self._static_scattered = False
+        self._hold_elimination = False
+        self._held = None
 
     @property
     def prepared(self) -> bool:
         """Whether the batched-refresh fast path is active."""
         return self._workspace is not None
+
+    @property
+    def holds_elimination(self) -> bool:
+        """Whether the bound workspace solves Eq. (4) once per bind."""
+        return self._hold_elimination
 
     def _assemble_prepared(
         self, t: float, x_global: np.ndarray, y_global: np.ndarray
@@ -824,6 +873,10 @@ class BatchedAssembler:
     ) -> BatchedReducedSystem:
         """Solve Eq. (4) for all lanes with one stacked linear solve.
 
+        On a workspace that holds the elimination (see :meth:`prepare`)
+        the solve runs once per bind and later calls only re-form the
+        reduced model from the held operands.
+
         Raises :class:`SingularLaneError` naming the offending lanes when
         any lane's ``J_yy`` is singular, so the caller can retire exactly
         those lanes and keep the rest marching.
@@ -846,52 +899,40 @@ class BatchedAssembler:
                 elimination_matrix=np.zeros((b, 0, n_states)),
                 elimination_offset=empty,
             )
-        if self._eliminate_kernel is not None:
-            try:
-                em, eo, a_red, b_red = self._eliminate_kernel(
-                    lin.jxx, lin.jxy, lin.ex, lin.jyx, jyy, lin.ey
-                )
-            except np.linalg.LinAlgError:
-                pass  # singular lane: the NumPy path below assigns blame
-            else:
-                y_solution = np.matmul(em, x_global[..., None])[..., 0] + eo
-                return BatchedReducedSystem(
-                    a_reduced=a_red,
-                    b_reduced=b_red,
-                    y_solution=y_solution,
-                    elimination_matrix=em,
-                    elimination_offset=eo,
-                )
-        rhs = np.empty((b, jyy.shape[1], n_states + 1))
-        rhs[:, :, :-1] = lin.jyx
-        rhs[:, :, -1] = lin.ey
-        try:
-            solution = np.linalg.solve(jyy, rhs)
-        except np.linalg.LinAlgError:
-            # identify the offending lanes with the same per-lane solve the
-            # scalar path runs, so the blame criterion matches exactly
-            bad = []
-            for i in range(b):
+        if self._hold_elimination and lin is self._workspace:
+            if self._held is None:
+                em, eo = _solve_terminals(lin)
+                self._held = _HeldElimination(em, eo, *_jxy_products(lin.jxy, em, eo))
+            held = self._held
+            elimination_matrix = held.elimination_matrix
+            elimination_offset = held.elimination_offset
+            jxy_m, jxy_c = held.jxy_m, held.jxy_c
+        else:
+            if self._eliminate_kernel is not None:
                 try:
-                    np.linalg.solve(jyy[i], rhs[i])
+                    em, eo, a_red, b_red = self._eliminate_kernel(
+                        lin.jxx, lin.jxy, lin.ex, lin.jyx, jyy, lin.ey
+                    )
                 except np.linalg.LinAlgError:
-                    bad.append(i)
-            if not bad:  # pragma: no cover - solve failed but no lane blamed
-                bad = list(range(b))
-            raise SingularLaneError(
-                "terminal-variable elimination failed: J_yy is singular in "
-                f"lane(s) {bad}; check block wiring of those candidates",
-                lane_indices=bad,
-            ) from None
-        elimination_matrix = -solution[:, :, :-1]
-        elimination_offset = -solution[:, :, -1]
+                    pass  # singular lane: the NumPy path below assigns blame
+                else:
+                    y_solution = np.matmul(em, x_global[..., None])[..., 0] + eo
+                    return BatchedReducedSystem(
+                        a_reduced=a_red,
+                        b_reduced=b_red,
+                        y_solution=y_solution,
+                        elimination_matrix=em,
+                        elimination_offset=eo,
+                    )
+            elimination_matrix, elimination_offset = _solve_terminals(lin)
+            jxy_m, jxy_c = _jxy_products(lin.jxy, elimination_matrix, elimination_offset)
         y_solution = (
             np.matmul(elimination_matrix, x_global[..., None])[..., 0]
             + elimination_offset
         )
-        a_reduced = lin.jxx + np.matmul(lin.jxy, elimination_matrix)
-        b_reduced = lin.ex + np.matmul(lin.jxy, elimination_offset[..., None])[..., 0]
-        if self._eliminate_pending:
+        a_reduced = lin.jxx + jxy_m
+        b_reduced = lin.ex + jxy_c
+        if self._eliminate_pending and not self._hold_elimination:
             # one-shot on-data verification: adopt the jitted fused
             # elimination only if it reproduces the stacked-NumPy result
             # bit-for-bit on this march's live arrays
@@ -931,3 +972,44 @@ class BatchedAssembler:
             y_global = np.zeros((self.n_lanes, self.n_terminals))
         lin = self.assemble(t, x_global, y_global)
         return self.eliminate(lin, x_global)
+
+
+def _solve_terminals(lin: BatchedGlobalLinearisation) -> Tuple[np.ndarray, np.ndarray]:
+    """``(M, c)`` of ``y = M x + c`` for every lane: one stacked solve.
+
+    Raises :class:`SingularLaneError` naming the lanes whose ``J_yy`` is
+    singular, found with the same per-lane solve the scalar path runs so
+    the blame criterion matches exactly.
+    """
+    jyy = lin.jyy
+    b = lin.n_lanes
+    rhs = np.empty((b, jyy.shape[1], lin.jxx.shape[1] + 1))
+    rhs[:, :, :-1] = lin.jyx
+    rhs[:, :, -1] = lin.ey
+    try:
+        solution = np.linalg.solve(jyy, rhs)
+    except np.linalg.LinAlgError:
+        bad = []
+        for i in range(b):
+            try:
+                np.linalg.solve(jyy[i], rhs[i])
+            except np.linalg.LinAlgError:
+                bad.append(i)
+        if not bad:  # pragma: no cover - solve failed but no lane blamed
+            bad = list(range(b))
+        raise SingularLaneError(
+            "terminal-variable elimination failed: J_yy is singular in "
+            f"lane(s) {bad}; check block wiring of those candidates",
+            lane_indices=bad,
+        ) from None
+    return -solution[:, :, :-1], -solution[:, :, -1]
+
+
+def _jxy_products(
+    jxy: np.ndarray, elimination_matrix: np.ndarray, elimination_offset: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(J_xy M, J_xy c)`` of every lane through stacked ``matmul``."""
+    return (
+        np.matmul(jxy, elimination_matrix),
+        np.matmul(jxy, elimination_offset[..., None])[..., 0],
+    )

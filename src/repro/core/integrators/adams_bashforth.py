@@ -60,6 +60,17 @@ def adams_bashforth_coefficients(order: int) -> Tuple[float, ...]:
         ) from None
 
 
+#: bound on the distinct step patterns one run's weight memo keeps.  The
+#: paper's closed loop meets ~50 per run; a march whose step keeps changing
+#: (the electrostatic one) meets a new pattern on most steps, so past the
+#: bound the oldest pattern is evicted.
+WEIGHT_MEMO_LIMIT = 1024
+
+#: a weight-memo key: the sample offsets ``s - t_start`` and the span
+#: ``t_end - t_start``, exactly the floats the Vandermonde solve consumes
+WeightKey = Tuple[Tuple[float, ...], float]
+
+
 def _variable_step_weights(
     sample_times: Sequence[float], t_start: float, t_end: float
 ) -> np.ndarray:
@@ -73,7 +84,11 @@ def _variable_step_weights(
     used in harvester simulations.
     """
     times = np.asarray(sample_times, dtype=float) - t_start
-    span = t_end - t_start
+    return _solve_weights(times, t_end - t_start)
+
+
+def _solve_weights(times: np.ndarray, span: float) -> np.ndarray:
+    """The Vandermonde solve of :func:`_variable_step_weights` on offsets."""
     k = times.size
     # Solve V^T c = m where V_{ij} = times[i]^j and m_j = span^(j+1)/(j+1):
     # this gives weights such that sum_i w_i * q(times[i]) = int_0^span q
@@ -81,6 +96,35 @@ def _variable_step_weights(
     vander = np.vander(times, N=k, increasing=True)  # rows: samples, cols: powers
     moments = np.array([span ** (j + 1) / (j + 1) for j in range(k)])
     weights = np.linalg.solve(vander.T, moments)
+    return weights
+
+
+def weight_key(sample_times: Sequence[float], t_start: float, t_end: float) -> WeightKey:
+    """The memo key of :func:`_variable_step_weights` for these inputs."""
+    return (tuple([s - t_start for s in sample_times]), t_end - t_start)
+
+
+def remember_weights(memo: dict, key: WeightKey, weights: np.ndarray) -> None:
+    """Store solved weights, evicting the oldest pattern at the bound."""
+    if len(memo) >= WEIGHT_MEMO_LIMIT:
+        del memo[next(iter(memo))]
+    memo[key] = weights
+
+
+def _memoised_weights(
+    memo: dict, sample_times: Sequence[float], t_start: float, t_end: float
+) -> np.ndarray:
+    """:func:`_variable_step_weights` through a run's weight memo.
+
+    The key holds the exact floats the solve consumes, so a hit returns
+    the bits a fresh solve would.  The returned array is shared: callers
+    must not mutate it.
+    """
+    key = weight_key(sample_times, t_start, t_end)
+    weights = memo.get(key)
+    if weights is None:
+        weights = _solve_weights(np.array(key[0]), key[1])
+        remember_weights(memo, key, weights)
     return weights
 
 
@@ -145,7 +189,7 @@ class AdamsBashforth(ExplicitIntegrator):
         samples: List[Tuple[float, np.ndarray]] = list(state.history)
         times = [sample_t for sample_t, _ in samples]
         derivatives = np.stack([sample_f for _, sample_f in samples])
-        weights = _variable_step_weights(times, t_start=t, t_end=t + h)
+        weights = _memoised_weights(state.weight_memo, times, t, t + h)
         increment = weights @ derivatives
         return x + increment
 
@@ -181,7 +225,7 @@ class AdamsBashforth(ExplicitIntegrator):
         times = [sample_t for sample_t, _ in samples]
         # (B, k, n): lane-major stack of the k retained derivative samples
         derivatives = np.stack([sample_f for _, sample_f in samples], axis=1)
-        weights = _variable_step_weights(times, t_start=t, t_end=t + h)
+        weights = _memoised_weights(state.weight_memo, times, t, t + h)
         increment = np.matmul(weights[None, None, :], derivatives)[:, 0, :]
         return x + increment
 

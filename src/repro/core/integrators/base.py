@@ -13,7 +13,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Optional, Tuple
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -29,9 +29,15 @@ class IntegratorState:
 
     ``history`` holds ``(t, f(t, x))`` pairs for the most recent accepted
     steps, newest last.  Single-step methods ignore it.
+
+    ``weight_memo`` maps a step pattern to the integration weights solved
+    for it (see :mod:`~repro.core.integrators.adams_bashforth`).  The
+    weights are a pure function of the pattern, so the memo lives for the
+    whole run and survives :meth:`clear`; it is bounded by its user.
     """
 
     history: Deque[Tuple[float, np.ndarray]] = field(default_factory=deque)
+    weight_memo: Dict[Tuple, np.ndarray] = field(default_factory=dict)
 
     def push(self, t: float, derivative: np.ndarray, max_length: int) -> None:
         """Record an accepted derivative sample, keeping at most ``max_length``."""

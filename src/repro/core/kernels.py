@@ -56,6 +56,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigurationError
+from .integrators.adams_bashforth import remember_weights, weight_key
 
 __all__ = [
     "COMPILED_MODES",
@@ -248,6 +249,7 @@ def _burst_weights(
     steps_h: Sequence[float],
     history_times: Sequence[float],
     order: int,
+    memo: dict,
 ) -> np.ndarray:
     """All Adams-Bashforth weight vectors of a burst, ``(K, order)``.
 
@@ -255,35 +257,46 @@ def _burst_weights(
     sample window is the last ``order`` entries of
     ``history_times + times[:j+1]``, the Vandermonde powers are built by
     cumulative multiplication (matching ``np.vander(increasing=True)``)
-    and all ``K`` transposed systems are solved in one stacked LAPACK
-    call — bitwise the same solves the single-step path makes one by one.
+    and the transposed systems are solved in one stacked LAPACK call —
+    bitwise the same solves the single-step path makes one by one.
+
+    ``memo`` is the run's weight memo (``IntegratorState.weight_memo``,
+    keyed by ``weight_key`` as on the single-step path): rows it already
+    holds are copied, and only the distinct missing patterns are solved
+    and remembered.
     """
     k = order
-    n_steps = len(times)
     all_times = list(history_times) + list(times)
-    window = np.empty((n_steps, k))
-    for j in range(n_steps):
-        base = j + 1  # window ends at times[j] == all_times[len(hist)-1+j+1-1]
-        start = len(history_times) + base - k
-        for s in range(k):
-            window[j, s] = all_times[start + s] - times[j]
-    # powers via cumulative products, as np.vander(increasing=True) does
-    vander = np.ones((n_steps, k, k))
-    if k > 1:
-        np.cumprod(
-            np.broadcast_to(window[:, :, None], (n_steps, k, k - 1)),
-            axis=2,
-            out=vander[:, :, 1:],
+    first = len(history_times) + 1 - k  # window start of step 0
+    weights = np.empty((len(times), k))
+    missing: Dict[Tuple, List[int]] = {}
+    for j, (t_j, h_j) in enumerate(zip(times, steps_h)):
+        key = weight_key(all_times[first + j : first + j + k], t_j, t_j + h_j)
+        row = memo.get(key)
+        if row is None:
+            missing.setdefault(key, []).append(j)
+        else:
+            weights[j] = row
+    if missing:
+        keys = list(missing)
+        offsets = np.array([key[0] for key in keys])
+        # powers via cumulative products, as np.vander(increasing=True) does
+        vander = np.ones((len(keys), k, k))
+        if k > 1:
+            np.cumprod(
+                np.broadcast_to(offsets[:, :, None], (len(keys), k, k - 1)),
+                axis=2,
+                out=vander[:, :, 1:],
+            )
+        moments = np.array(
+            [[span ** (p + 1) / (p + 1) for p in range(k)] for _, span in keys]
         )
-    moments = np.array(
-        [
-            [h ** (p + 1) / (p + 1) for p in range(k)]
-            for h in ((t + h) - t for t, h in zip(times, steps_h))
-        ]
-    )
-    return np.linalg.solve(np.swapaxes(vander, 1, 2), moments[:, :, None])[
-        :, :, 0
-    ]
+        solved = np.linalg.solve(np.swapaxes(vander, 1, 2), moments[:, :, None])
+        for key, row in zip(keys, solved[:, :, 0]):
+            row = row.copy()
+            remember_weights(memo, key, row)
+            weights[missing[key]] = row
+    return weights
 
 
 def _march_numpy(
@@ -300,6 +313,7 @@ def _march_numpy(
     state_rtol: np.ndarray,
     x_ref: np.ndarray,
     divergence_limit: np.ndarray,
+    weight_memo: dict,
 ) -> MarchResult:
     """Reference kernel: the single-step expressions, verbatim.
 
@@ -307,9 +321,10 @@ def _march_numpy(
     + ``AdamsBashforth.step_batch`` operation for operation, so fixed-step
     results are byte-identical to the scalar solver.  The time-based exit
     events and all step weights are precomputed by
-    ``_burst_schedule``/``_burst_weights``; the state-dependent checks run
-    vectorised after every step: the divergence guard always, the
-    drift-refresh check when a ``relinearise_state_rtol`` is set.
+    ``_burst_schedule``/``_burst_weights`` (the weights through the run's
+    ``weight_memo``); the state-dependent checks run vectorised after
+    every step: the divergence guard always, the drift-refresh check when
+    a ``relinearise_state_rtol`` is set.
     """
     history = list(history)
     order = len(history)
@@ -342,7 +357,7 @@ def _march_numpy(
             return empty
 
     weights = _burst_weights(
-        times, steps_h, [sample_t for sample_t, _ in history], order
+        times, steps_h, [sample_t for sample_t, _ in history], order, weight_memo
     )
 
     steps = 0
@@ -563,6 +578,7 @@ def _wrap_loops_impl(inner: Callable) -> Callable:
         state_rtol,
         x_ref,
         divergence_limit,
+        weight_memo,  # unused: the weights are solved in-kernel
     ) -> MarchResult:
         order = len(history)
         hist_t = np.array([sample_t for sample_t, _ in history], dtype=float)
@@ -699,6 +715,7 @@ def _build_jax_kernel() -> Callable:
         state_rtol,
         x_ref,
         divergence_limit,
+        weight_memo,  # unused: the weights are solved in-kernel
     ) -> MarchResult:
         order = len(history)
         t_end_min = float(np.min(t_end))

@@ -84,7 +84,9 @@ class LLEMonitor:
 
         ``linearised_derivative`` and ``true_derivative`` are optional; when
         both are given the direct derivative mismatch (an observable proxy
-        for the LLE of Eq. 3) is computed as well.
+        for the LLE of Eq. 3) is computed as well.  The sample's
+        ``jacobian_change`` is the drift :meth:`jacobian_change` measures;
+        a step controller fed the same Jacobians may reuse it.
         """
         change = self.jacobian_change(jacobian)
         mismatch = 0.0

@@ -136,7 +136,17 @@ class Trace:
 
 @dataclass
 class SolverStats:
-    """Bookkeeping counters reported by a solver run."""
+    """Bookkeeping counters reported by a solver run.
+
+    ``n_linear_solves`` counts the linear systems a run's model asks for:
+    one terminal-variable elimination (Eq. 4) per refresh of the
+    linearised solvers, including the initial consistency solve, and one
+    per Newton iteration of the implicit/MNA baselines.  It counts model
+    eliminations, not LAPACK calls: a prepared workspace that holds the
+    elimination across refreshes (see
+    :meth:`~repro.core.elimination.BatchedAssembler.prepare`) still
+    counts one per refresh, so the figure compares across solvers.
+    """
 
     solver_name: str = ""
     cpu_time_s: float = 0.0

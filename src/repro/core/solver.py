@@ -191,10 +191,13 @@ class LinearisedStateSpaceSolver:
 
         Every refresh (linearise + eliminate) runs through a one-lane
         prepared :class:`BatchedAssembler` workspace bound at run start:
-        lane-constant fields are scattered once instead of every step.  A
-        digital action that changes the model may change those constants
-        (tuning force, equivalent load), so the workspace is re-bound
-        after every such action.  The workspace lives only for this run.
+        lane-constant fields are scattered once instead of every step, and
+        when every block the elimination reads declares its ``J_yy`` and
+        ``J_xy`` sides constant the Eq. (4) solve is made once per bind as
+        well.  A digital action that changes the model may change those
+        constants (tuning force, equivalent load), so the workspace is
+        re-bound after every such action.  The workspace lives only for
+        this run.
         """
         if t_end <= t_start:
             raise ConfigurationError("t_end must be greater than t_start")
@@ -284,14 +287,14 @@ class LinearisedStateSpaceSolver:
             if refresh:
                 if settings.monitor_lle:
                     true_dxdt, _ = assembler.full_residual(self._t, self._x, self._y)
-                    self.lle_monitor.record(
+                    sample = self.lle_monitor.record(
                         self._t,
                         reduced.a_reduced,
                         linearised_derivative=reduced.derivative(self._x),
                         true_derivative=true_dxdt,
                     )
                 else:
-                    self.lle_monitor.record(self._t, reduced.a_reduced)
+                    sample = self.lle_monitor.record(self._t, reduced.a_reduced)
 
             # 5. choose the step size.  Held steps reuse the step proposed
             #    at the last fresh linearisation: the controller's inputs
@@ -306,8 +309,13 @@ class LinearisedStateSpaceSolver:
                 h = min(settings.fixed_step, boundary - self._t)
                 controller._h_current = h  # keep diagnostics consistent
             elif refresh:
+                # the controller and the LLE monitor are reset together and
+                # both see every refresh, so their previous Jacobians agree
+                # and the drift measured once serves both
                 h = controller.propose(
-                    reduced.a_reduced, t_remaining=boundary - self._t
+                    reduced.a_reduced,
+                    t_remaining=boundary - self._t,
+                    jacobian_change=sample.jacobian_change,
                 )
                 held_h = h
             else:
@@ -356,12 +364,17 @@ class LinearisedStateSpaceSolver:
     def _refresh(self, workspace: BatchedAssembler) -> ReducedSystem:
         """Linearise + eliminate at the current point.
 
-        ``workspace`` is the run's one-lane prepared assembler.  The scalar
-        :meth:`SystemAssembler.eliminate` reads its lane and returns fresh
-        arrays, so the reduced system outlives the next refresh.
+        ``workspace`` is the run's one-lane prepared assembler.  When it
+        holds the Eq. (4) elimination (see :meth:`BatchedAssembler.prepare`),
+        the workspace's own elimination reuses the solve of the current
+        bind; otherwise the scalar :meth:`SystemAssembler.eliminate` solves
+        the lane afresh.  Either way the reduced system is built from fresh
+        or bind-lived arrays, so it outlives the next refresh.
         """
-        lin = workspace.assemble(self._t, self._x[None], self._y[None]).lane(0)
-        return self.assembler.eliminate(lin, self._x)
+        lin = workspace.assemble(self._t, self._x[None], self._y[None])
+        if workspace.holds_elimination:
+            return workspace.eliminate(lin, self._x[None]).lane(0)
+        return self.assembler.eliminate(lin.lane(0), self._x)
 
     @staticmethod
     def _frozen_derivative(reduced: ReducedSystem) -> Callable[[float, np.ndarray], np.ndarray]:

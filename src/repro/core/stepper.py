@@ -195,7 +195,13 @@ class StepSizeController:
     # ------------------------------------------------------------------ #
     # main entry point
     # ------------------------------------------------------------------ #
-    def propose(self, a_reduced: np.ndarray, *, t_remaining: Optional[float] = None) -> float:
+    def propose(
+        self,
+        a_reduced: np.ndarray,
+        *,
+        t_remaining: Optional[float] = None,
+        jacobian_change: Optional[float] = None,
+    ) -> float:
         """Return the step size to use for the next explicit step.
 
         Parameters
@@ -205,12 +211,19 @@ class StepSizeController:
         t_remaining:
             Time left until the simulation (or the next digital event);
             the proposed step never overshoots it.
+        jacobian_change:
+            The drift of ``a_reduced`` from the previous proposal's
+            Jacobian when the caller has measured it already (the scalar
+            march's LLE monitor sees the same Jacobians, reset at the same
+            points); ``None`` measures it here.
         """
         settings = self.settings
         h = self._h_current
 
         # accuracy control: shrink/grow according to the observed Jacobian drift
-        change = self.jacobian_change(a_reduced)
+        change = (
+            self.jacobian_change(a_reduced) if jacobian_change is None else jacobian_change
+        )
         if change > settings.jacobian_change_target:
             factor = max(
                 settings.shrink_limit, settings.jacobian_change_target / change

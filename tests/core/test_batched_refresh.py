@@ -1,5 +1,7 @@
-"""Batched refresh path: byte-identity, fallbacks, fused elimination."""
+"""Batched refresh path: byte-identity, fallbacks, held and fused elimination."""
 
+import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -8,12 +10,13 @@ import pytest
 from repro.core.batch import BatchedSolver
 from repro.core.block import AnalogueBlock, LinearBlock, PreparedBlockLineariser
 from repro.core.elimination import BatchedAssembler, SystemAssembler
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, SingularLaneError
 from repro.core.kernels import _eliminate_lanes_impl, available_backends
 from repro.core.linearise import linearise_block_lanes
 from repro.core.netlist import Netlist
 from repro.core.solver import SolverSettings
 from repro.harvester.scenarios import prepare_assembly, scenario_solver_settings
+from repro.harvester.scenarios import charging_scenario
 from repro.harvester.topologies import electrostatic_scenario, piezoelectric_scenario
 
 from .test_compiled_kernels import (
@@ -190,7 +193,19 @@ class _UnpreparedBlock(LinearBlock):
         return None
 
 
-def _mixed_netlist_assembler(block_cls, gain: float) -> SystemAssembler:
+class _VaryingCouplingBlock(LinearBlock):
+    """A block whose prepared lineariser re-delivers ``J_xy`` every refresh."""
+
+    def batched_lineariser(self, lanes):
+        prepared = super().batched_lineariser(lanes)
+        return PreparedBlockLineariser(
+            prepared.lineariser, tuple(f for f in prepared.constant if f != "jxy")
+        )
+
+
+def _mixed_netlist_assembler(
+    block_cls, gain: float, sink_cls=LinearBlock
+) -> SystemAssembler:
     decay = block_cls(
         "decay",
         a=np.array([[-1.0, 0.2], [0.0, -1.5]]),
@@ -200,7 +215,7 @@ def _mixed_netlist_assembler(block_cls, gain: float) -> SystemAssembler:
         c=np.array([[1.0, 0.0]]),
         d=np.array([[1.0]]),
     )
-    sink = LinearBlock(
+    sink = sink_cls(
         "sink",
         a=np.array([[-2.0 * gain]]),
         b=np.array([[0.5]]),
@@ -390,6 +405,130 @@ class TestPreparedBlockLineariserContract:
             d=np.array([[1.0]]),
         )
         assert block.batched_lineariser([block]) is None
+
+
+def count_solves(monkeypatch) -> Counter:
+    """Count ``np.linalg.solve`` calls by the module that makes them."""
+    counts: Counter = Counter()
+    solve = np.linalg.solve
+
+    def counting(a, b):
+        counts[sys._getframe(1).f_globals["__name__"]] += 1
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return counts
+
+
+ELIMINATION = "repro.core.elimination"
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+class TestHeldEliminationWorkspace:
+    """A prepared workspace solves Eq. (4) once per bind (prepare/select)."""
+
+    def test_lane_block_march_solves_once(self, monkeypatch):
+        counts = count_solves(monkeypatch)
+        scenarios = LANE_SETS["charging"]()
+        settings = [_settings_for(s) for s in scenarios]
+        result = _refresh_run(scenarios, settings)
+        assert not result.failures
+        assert counts[ELIMINATION] == 1
+        # n_linear_solves still counts one elimination per refresh
+        for got in result.results:
+            assert got.stats.n_linear_solves == got.stats.n_jacobian_evaluations + 1 > 100
+
+    def test_retired_lanes_resolve_their_own_operands(self, monkeypatch):
+        structure = prepare_assembly(charging_scenario())
+        harvesters = [
+            charging_scenario().build_harvester(assembly_structure=structure)
+            for _ in range(3)
+        ]
+        # Req sits in the supercapacitor's J_yy: every lane has its own M
+        for harvester, load in zip(harvesters, (20.0, 50.0, 200.0)):
+            harvester.storage.apply_control("load_resistance", load)
+        batched = BatchedAssembler([h.assembler for h in harvesters])
+        batched.prepare()
+        assert batched.holds_elimination
+        counts = count_solves(monkeypatch)
+        x = batched.initial_state() + 0.25
+        y = np.zeros((3, batched.n_terminals))
+        for t in (0.0, 1e-4, 2e-4):
+            batched.eliminate(batched.assemble(t, x, y), x)
+        assert counts[ELIMINATION] == 1
+
+        keep = np.array([0, 2])
+        kept = batched.select(keep)
+        assert kept.holds_elimination
+        reduced = kept.eliminate(kept.assemble(0.0, x[keep], y[keep]), x[keep])
+        assert counts[ELIMINATION] == 2
+        for lane, source in enumerate(keep):
+            scalar = harvesters[source].assembler.reduce(0.0, x[source], y[source])
+            got = reduced.lane(lane)
+            for field in (
+                "elimination_matrix", "elimination_offset", "y_solution",
+                "a_reduced", "b_reduced",
+            ):
+                assert _bits(getattr(got, field)) == _bits(getattr(scalar, field)), field
+        assert not np.array_equal(
+            reduced.elimination_matrix[0], reduced.elimination_matrix[1]
+        )
+
+    def test_singular_lane_is_still_named(self):
+        assemblers = [
+            _mixed_netlist_assembler(LinearBlock, 1.0) for _ in range(3)
+        ]
+        # lane 1: no equation pins the shared net
+        assemblers[1].blocks[0].d[...] = 0.0
+        batched = BatchedAssembler(assemblers)
+        batched.prepare()
+        assert batched.holds_elimination
+        x = batched.initial_state()
+        y = np.zeros((3, batched.n_terminals))
+        with pytest.raises(SingularLaneError) as excinfo:
+            batched.eliminate(batched.assemble(0.0, x, y), x)
+        assert excinfo.value.lane_indices == (1,)
+
+    def test_unprepared_algebraic_group_keeps_per_refresh_solve(self, monkeypatch):
+        scenarios = LANE_SETS["piezoelectric_charging"]()
+        settings = [_settings_for(s) for s in scenarios]
+        structure = prepare_assembly(scenarios[0])
+        batched = BatchedAssembler(
+            [s.build_harvester(assembly_structure=structure).assembler for s in scenarios]
+        )
+        batched.prepare()
+        assert not batched.holds_elimination
+        counts = count_solves(monkeypatch)
+        result = _refresh_run(scenarios, settings)
+        assert not result.failures
+        # one stacked solve per refresh, plus the final consistency solve
+        refreshes = result.results[0].stats.n_linear_solves
+        assert counts[ELIMINATION] == refreshes + 1
+
+    def test_varying_algebraic_excitation_is_not_held(self):
+        assembler = _mixed_netlist_assembler(LinearBlock, 1.0)
+        assembler.blocks[0]._algebraic_excitation = lambda t: np.array([t])
+        batched = BatchedAssembler([assembler])
+        batched.prepare()
+        assert not batched.holds_elimination
+        batched.unprepare()
+        assert not batched.holds_elimination
+
+    @pytest.mark.parametrize("varying", ["decay", "sink"])
+    def test_varying_terminal_coupling_is_not_held(self, varying):
+        # decay has algebraic rows and terminals, sink terminals only:
+        # either one's J_xy enters A_r = J_xx + J_xy M on every refresh
+        classes = {"decay": LinearBlock, "sink": LinearBlock}
+        classes[varying] = _VaryingCouplingBlock
+        assembler = _mixed_netlist_assembler(
+            classes["decay"], 1.0, sink_cls=classes["sink"]
+        )
+        batched = BatchedAssembler([assembler])
+        batched.prepare()
+        assert not batched.holds_elimination
 
 
 class TestFusedElimination:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.integrators import (
@@ -17,7 +17,12 @@ from repro.core.integrators import (
     adams_bashforth_coefficients,
     make_integrator,
 )
-from repro.core.integrators.adams_bashforth import _variable_step_weights
+from repro.core.integrators import adams_bashforth
+from repro.core.integrators.adams_bashforth import (
+    _memoised_weights,
+    _variable_step_weights,
+)
+from repro.core.kernels import _burst_weights
 
 
 def integrate(integrator, func, x0, t_end, n_steps):
@@ -141,6 +146,82 @@ class TestAdamsBashforth:
             t += h
         exact = t ** (power + 1) / (power + 1)
         assert abs(x[0] - exact) <= 1e-9 * max(1.0, abs(exact))
+
+
+@st.composite
+def burst_windows(draw):
+    """A full AB history plus the burst that follows it, as the march
+    builds them: times accumulate by ``t = t + h`` and the burst's last
+    step may be clamped to an end time."""
+    order = draw(st.integers(min_value=1, max_value=5))
+    t = draw(st.floats(0.999, 1.001) | st.floats(0.0, 1e-3))
+    base = draw(st.floats(1e-7, 1e-4))
+    history_times = []
+    for ratio in draw(st.lists(st.floats(0.2, 5.0), min_size=order, max_size=order)):
+        history_times.append(t)
+        t = t + base * ratio
+    h_nominal = base * draw(st.floats(0.2, 5.0))
+    n_steps = draw(st.integers(min_value=1, max_value=6))
+    t_end = t + h_nominal * draw(st.floats(0.3, n_steps + 1.0))
+    times, steps_h = [], []
+    while len(times) < n_steps and t < t_end - 1e-15:
+        h = min(h_nominal, t_end - t)
+        times.append(t)
+        steps_h.append(h)
+        t = t + h
+    assume(times)
+    return order, history_times, times, steps_h
+
+
+class TestWeightMemo:
+    """The weight memo shared by single steps and numpy-kernel bursts."""
+
+    @given(burst_windows())
+    @settings(max_examples=200, deadline=None)
+    def test_burst_rows_equal_single_step_weights(self, drawn):
+        order, history_times, times, steps_h = drawn
+        memo = {}
+        rows = _burst_weights(times, steps_h, history_times, order, memo)
+        all_times = history_times + times
+        filled_by_steps = {}
+        for j, (t_j, h_j) in enumerate(zip(times, steps_h)):
+            window = all_times[j + 1 : j + 1 + order]
+            fresh = _variable_step_weights(window, t_j, t_j + h_j)
+            assert rows[j].tobytes() == fresh.tobytes(), j
+            # a hit on the burst's entry returns the fresh solve's bits
+            hit = _memoised_weights(memo, window, t_j, t_j + h_j)
+            assert hit.tobytes() == fresh.tobytes(), j
+            _memoised_weights(filled_by_steps, window, t_j, t_j + h_j)
+        n_entries = len(memo)
+        # a burst served wholly from either memo: same bits, no new solve
+        assert _burst_weights(times, steps_h, history_times, order, memo).tobytes() == (
+            rows.tobytes()
+        )
+        assert len(memo) == n_entries
+        served = _burst_weights(times, steps_h, history_times, order, filled_by_steps)
+        assert served.tobytes() == rows.tobytes()
+        assert filled_by_steps.keys() == memo.keys()
+
+    def test_memo_is_bounded_oldest_first(self, monkeypatch):
+        monkeypatch.setattr(adams_bashforth, "WEIGHT_MEMO_LIMIT", 3)
+        memo = {}
+        oldest = [-1e-4 * (1 + i) for i in range(5)]
+        for t_old in oldest:
+            _memoised_weights(memo, [t_old, 0.0], 0.0, 1e-4)
+        assert [key[0][0] for key in memo] == oldest[2:]
+
+    def test_memo_lives_for_the_run(self):
+        ab = AdamsBashforth(order=2)
+        state = ab.new_state()
+        x = np.array([1.0])
+        for i in range(4):
+            x = ab.step(lambda t, x: -x, i * 0.1, x, 0.1, state)
+        assert len(state.weight_memo) >= 1
+        memo = dict(state.weight_memo)
+        # a discontinuity drops the history, not the pure step-pattern memo
+        ab.notify_discontinuity(state)
+        assert state.weight_memo == memo
+        assert ab.new_state().weight_memo == {}
 
 
 class TestRungeKutta:

@@ -18,8 +18,11 @@ from repro.blocks.diode import DiodeParameters, build_diode_companion_table
 from repro.blocks.voltage_multiplier import DicksonMultiplier
 from repro.core.block import BatchedLinearisation
 from repro.core.digital import DigitalEventKernel, DigitalProcess
+from repro.core.elimination import BatchedAssembler
 from repro.core.solver import LinearisedStateSpaceSolver, SolverSettings
 from repro.harvester.scenarios import charging_scenario, scenario_solver_settings
+
+from .test_batched_refresh import ELIMINATION, count_solves
 
 #: simulated seconds per factory: the closed loops run past the scaled
 #: controller's load switches (0, 0.2, 1.2 and 1.4 s) and its first
@@ -100,6 +103,41 @@ class TestScalarPreparedRefreshOracle:
         result, _, _ = _run(charging_scenario(duration_s=0.1), settings=held)
         assert result.metadata["n_jacobian_reuses"] > 0
         _assert_runs_identical(reference, result)
+
+
+class TestHeldEliminationScalarMarch:
+    """The scalar march solves Eq. (4) once per bind, not once per step."""
+
+    def test_one_factorisation_per_bind(self, monkeypatch):
+        changes = []
+        run_due = DigitalEventKernel.run_due
+
+        def recording_run_due(self, t, analogue):
+            changed = run_due(self, t, analogue)
+            changes.append(changed)
+            return changed
+
+        monkeypatch.setattr(DigitalEventKernel, "run_due", recording_run_due)
+        counts = count_solves(monkeypatch)
+        result, _, _ = _run(SCENARIO_FACTORIES["scenario_1"](duration_s=1.6))
+        n_binds = 1 + sum(changes)
+        assert sum(changes) >= 5
+        assert counts[ELIMINATION] == n_binds
+        # the Adams-Bashforth weights are solved once per step pattern
+        assert counts["repro.core.integrators.adams_bashforth"] <= 50
+        assert result.stats.n_steps > 10_000
+        # n_linear_solves keeps counting one elimination per refresh
+        assert result.stats.n_linear_solves == result.stats.n_jacobian_evaluations + 1
+
+    def test_unprepared_algebraic_group_keeps_per_refresh_solve(self, monkeypatch):
+        scenario = SCENARIO_FACTORIES["piezoelectric_charging"](duration_s=0.02)
+        workspace = BatchedAssembler([scenario.build_harvester().assembler])
+        workspace.prepare()
+        assert not workspace.holds_elimination
+        counts = count_solves(monkeypatch)
+        result, _, _ = _run(scenario)
+        # every refresh plus the final consistency solve
+        assert counts[ELIMINATION] == result.stats.n_linear_solves + 1
 
 
 class _Writer(DigitalProcess):
